@@ -176,11 +176,6 @@ void export_machine_metrics(rt::Machine& machine, obs::MetricsRegistry& m) {
   m.counter("mem.solver.compactions").inc(static_cast<std::int64_t>(st.compactions));
   m.counter("mem.solver.flows_reclaimed")
       .inc(static_cast<std::int64_t>(st.flows_reclaimed));
-  m.counter("mem.solver.delta_solves").inc(static_cast<std::int64_t>(st.delta_solves));
-  m.counter("mem.solver.delta_rounds_reused")
-      .inc(static_cast<std::int64_t>(st.delta_rounds_reused));
-  m.counter("mem.solver.delta_rounds_total")
-      .inc(static_cast<std::int64_t>(st.delta_rounds_total));
 }
 
 }  // namespace
@@ -392,9 +387,6 @@ mem::SolverStats Series::solver_totals() const {
     t.coalesced += r.solver.coalesced;
     t.compactions += r.solver.compactions;
     t.flows_reclaimed += r.solver.flows_reclaimed;
-    t.delta_solves += r.solver.delta_solves;
-    t.delta_rounds_reused += r.solver.delta_rounds_reused;
-    t.delta_rounds_total += r.solver.delta_rounds_total;
   }
   return t;
 }
@@ -523,9 +515,7 @@ void write_bench_json() {
                  "\"median\": %.9g, \"stddev\": %.6g, \"min\": %.9g, \"max\": %.9g},\n"
                  "     \"solver\": {\"resolves\": %llu, \"full_builds\": %llu, "
                  "\"cap_updates\": %llu, \"skipped\": %llu, \"coalesced\": %llu, "
-                 "\"compactions\": %llu, \"flows_reclaimed\": %llu,\n"
-                 "                \"delta_solves\": %llu, \"delta_rounds_reused\": %llu, "
-                 "\"delta_rounds_total\": %llu, \"hit_rate\": %.4f}",
+                 "\"compactions\": %llu, \"flows_reclaimed\": %llu, \"hit_rate\": %.4f}",
                  first ? "" : ",", e.kernel.c_str(), e.sched.c_str(), e.spec.c_str(),
                  e.topo.c_str(), e.runs, e.jobs, e.failures, e.watchdogs, e.errors,
                  e.retry_attempts, e.host_s, static_cast<unsigned long long>(e.events),
@@ -538,9 +528,6 @@ void write_bench_json() {
                  static_cast<unsigned long long>(e.solver.coalesced),
                  static_cast<unsigned long long>(e.solver.compactions),
                  static_cast<unsigned long long>(e.solver.flows_reclaimed),
-                 static_cast<unsigned long long>(e.solver.delta_solves),
-                 static_cast<unsigned long long>(e.solver.delta_rounds_reused),
-                 static_cast<unsigned long long>(e.solver.delta_rounds_total),
                  e.solver.hit_rate());
     if (!e.quarantined.empty()) {
       std::fprintf(f, ",\n     \"quarantined\": [");

@@ -96,79 +96,6 @@ void BM_FlowNetworkCapUpdateSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowNetworkCapUpdateSolve)->Arg(16)->Arg(64);
 
-// Journal replay (solve_delta) after a small capacity wobble — the
-// incremental path for cap-only resolves. Gate: this must beat
-// BM_FlowNetworkRebuildSolve (same Arg) by the ILAN_SOLVER_MIN_SPEEDUP
-// factor; bench/solver_gate.cpp enforces it in ctest.
-void BM_FlowNetworkDeltaCapUpdate(benchmark::State& state) {
-  const auto tasks = static_cast<int>(state.range(0));
-  mem::FlowNetwork net;
-  net.set_record(true);
-  paper_scale::build(net, tasks);
-  net.solve();
-  // Wobble a slack per-core constraint (see paper_scale.hpp): every
-  // recorded round validates and the replay survives end-to-end — the
-  // cap-derate-on-a-non-bottleneck case the journal exists for. Wobbling a
-  // binding constraint would just diverge at the round it owns and measure
-  // the re-level path instead.
-  const auto slack_c = paper_scale::kSlackConstraint;
-  double wobble = 0.0;
-  std::int64_t flows = 0;
-  for (auto _ : state) {
-    wobble = wobble < 0.9e9 ? wobble + 0.25e9 : 0.0;
-    net.set_capacity(slack_c, 21e9 + wobble);
-    benchmark::DoNotOptimize(net.solve_delta().rounds_reused);
-    benchmark::DoNotOptimize(net.rate(0));
-    flows += net.num_flows();
-  }
-  state.SetItemsProcessed(flows);
-}
-BENCHMARK(BM_FlowNetworkDeltaCapUpdate)->Arg(16)->Arg(64);
-
-// Steady-state structural churn on the persistent network: tombstone one
-// task's flows, append a replacement, re-level in place. This is the shape
-// of almost every MemorySystem resolve (begins and completions trigger
-// them), so it is the number that actually moves events/s.
-void BM_FlowNetworkStructuralChurn(benchmark::State& state) {
-  const auto tasks = static_cast<int>(state.range(0));
-  mem::FlowNetwork net;
-  net.set_record(true);
-  paper_scale::build(net, tasks);
-  net.solve();
-  auto core_c = net.add_constraint(22e9);
-  std::vector<mem::FlowNetwork::FlowIdx> live;
-  for (std::int32_t f = 0; f < net.num_flows(); ++f) live.push_back(f);
-  std::size_t victim = 0;
-  std::int64_t flows = 0;
-  for (auto _ : state) {
-    if (net.dead_flows() > net.live_flows() + 64) {
-      // Compact exactly like MemorySystem does (untimed: the churn is the
-      // number under test; compaction amortizes to ~nothing per resolve).
-      state.PauseTiming();
-      net.clear();
-      paper_scale::build(net, tasks);
-      core_c = net.add_constraint(22e9);
-      live.clear();
-      for (std::int32_t f = 0; f < net.num_flows(); ++f) live.push_back(f);
-      victim = 0;
-      net.solve();
-      state.ResumeTiming();
-    }
-    // Two flows per task, tombstoned together like a completed execution.
-    net.remove_flow(live[victim]);
-    net.remove_flow(live[victim + 1]);
-    const mem::FlowNetwork::ConstraintIdx cs[2] = {0, core_c};
-    live[victim] = net.add_flow(22e9, 1.0, cs);
-    live[victim + 1] = net.add_flow(18e9, 1.3, cs);
-    victim = (victim + 2) % live.size();
-    net.solve();
-    benchmark::DoNotOptimize(net.rate(live[victim]));
-    flows += static_cast<std::int64_t>(net.live_flows());
-  }
-  state.SetItemsProcessed(flows);
-}
-BENCHMARK(BM_FlowNetworkStructuralChurn)->Arg(16)->Arg(64);
-
 void BM_PttRecordAndQuery(benchmark::State& state) {
   core::PerfTraceTable ptt;
   rt::LoopExecStats stats;

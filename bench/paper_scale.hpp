@@ -2,8 +2,7 @@
 // controllers, one core constraint per busy core (64 cores, 2 sockets),
 // cross-socket link constraints, and 2 flows per task (one local stream,
 // one remote stream crossing the link) — the structure resolve() builds.
-// Shared by micro_primitives.cpp (microbenchmarks) and solver_gate.cpp
-// (the ctest regression gate) so both time the same problem.
+// The microbenchmarks in micro_primitives.cpp time solves of it.
 #pragma once
 
 #include <vector>
@@ -14,13 +13,6 @@ namespace ilan::bench::paper_scale {
 
 constexpr int kNodes = 8;
 constexpr int kCores = 64;
-
-// The first task's per-core constraint (after kNodes controllers + 2
-// links). It stays slack at every task count — the links and controllers
-// are the bottlenecks — so a capacity wobble on it leaves every recorded
-// water-filling round valid and the journal replay survives end-to-end.
-// Delta benchmarks wobble this one to measure the surviving-replay path.
-constexpr mem::FlowNetwork::ConstraintIdx kSlackConstraint = kNodes + 2;
 
 inline int build(mem::FlowNetwork& net, int tasks) {
   net.clear();

@@ -7,9 +7,9 @@
 //
 // Part 2 — solver cache effectiveness from the same series: how the
 // bandwidth-resolve pipeline served each cell's resolves (full rebuilds vs
-// in-place cap updates vs skips/coalesces, tombstone compactions, journal
-// replays) and the resulting hit rate — the incremental-resolve health
-// check next to the scheduler behavior it pays for.
+// in-place cap updates vs skips/coalesces, tombstone compactions) and the
+// resulting hit rate — the incremental-resolve health check next to the
+// scheduler behavior it pays for.
 //
 // Part 3 — the steal-policy contrast that pins the instrumentation to the
 // paper's semantics: the same kernel under a ManualScheduler with
@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
                       "steal_x", "rescue", "probes", "locks", "reexpl",
                       "deque_avg", "stealable", "faults"});
   trace::Table solver({"benchmark", "scheduler", "resolves", "full", "cap_upd",
-                       "skip", "coal", "compact", "reclaimed", "dsolve",
-                       "hit_rate"});
+                       "skip", "coal", "compact", "reclaimed", "hit_rate"});
   for (const auto& k : bench::benchmarks()) {
     for (const std::string& sched : bench::env_sched_list()) {
       const auto series = bench::run_many(k, sched, runs, /*base_seed=*/77, opts);
@@ -119,7 +118,6 @@ int main(int argc, char** argv) {
                       std::to_string(cval(m, "mem.solver.coalesced")),
                       std::to_string(cval(m, "mem.solver.compactions")),
                       std::to_string(cval(m, "mem.solver.flows_reclaimed")),
-                      std::to_string(cval(m, "mem.solver.delta_solves")),
                       trace::Table::fmt(resolves > 0 ? static_cast<double>(hits) /
                                                            static_cast<double>(resolves)
                                                      : 0.0,

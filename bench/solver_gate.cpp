@@ -1,39 +1,33 @@
 // Solver regression gate (ctest: solver_gate; tools/run_tier1.sh solver).
 //
-// Guards the incremental-resolve pipeline against regressions, in two
-// halves:
+// Guards the incremental-resolve pipeline against regressions on one sp
+// and one cg run of the ilan scheduler: counter invariant (resolves =
+// full_builds + cap_updates + skipped + coalesced), cap_updates > 0, hit
+// rate >= ILAN_SOLVER_MIN_HIT (default 0.8), and events/s at or above
+// ILAN_SOLVER_MIN_EVPS. The events/s default is per-kernel: 1.5x the
+// pre-optimization baselines recorded in DESIGN.md §13 (sp 84.5k ->
+// 126750, cg 99.7k -> 149550); setting ILAN_SOLVER_MIN_EVPS applies one
+// absolute floor to both kernels, 0 disables the check.
 //
-//  1. Microbenchmark — journal-replay delta resolve (solve_delta after a
-//     slack-constraint capacity wobble) vs full rebuild + solve on the
-//     shared paper-scale problem (bench/paper_scale.hpp, the same shapes
-//     micro_primitives times). The replay must actually survive
-//     (rounds_reused == rounds_total, no fallback — otherwise the timing
-//     would compare the wrong path) and must be at least
-//     ILAN_SOLVER_MIN_SPEEDUP (default 2.0) times faster than the rebuild.
-//
-//  2. Harness — one sp and one cg run on the ilan scheduler. The resolve
-//     pipeline must stay incremental: counter invariant (resolves =
-//     full_builds + cap_updates + skipped + coalesced), cap_updates > 0,
-//     hit rate >= ILAN_SOLVER_MIN_HIT (default 0.8), and events/s at or
-//     above ILAN_SOLVER_MIN_EVPS. The events/s default is per-kernel: 1.5x
-//     the pre-optimization baselines recorded in DESIGN.md §13 (sp 84.5k
-//     -> 126750, cg 99.7k -> 149550); setting ILAN_SOLVER_MIN_EVPS applies
-//     one absolute floor to both kernels, 0 disables the check.
+// events/s is a wall-clock figure, so it is measured, not sampled: after
+// kWarmup discarded runs, kReps runs of the same seed (one at a time, on
+// this thread) each give one sample, and the floor gates their median. The
+// raw samples, the median, the median absolute deviation and the build
+// type are printed, so a failure shows whether the whole distribution sat
+// below the floor or one run was unlucky. The counters are deterministic,
+// so they are checked on the first run only.
 //
 // Wall-clock floors are meaningless under sanitizers (10-20x slowdowns),
-// so both timing checks are skipped in ASan/TSan builds — the structural
-// checks (replay survival, counter invariant, hit rate) still run, and
-// tools/run_tier1.sh solver adds ILAN_SOLVER_CHECK=1 equivalence runs per
-// sanitizer on top.
+// so the events/s check is skipped in ASan/TSan builds — the structural
+// checks still run, and tools/run_tier1.sh solver adds ILAN_SOLVER_CHECK=1
+// equivalence runs per sanitizer on top.
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "harness.hpp"
-#include "mem/flow_network.hpp"
 #include "obs/env.hpp"
-#include "paper_scale.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define ILAN_GATE_SANITIZED 1
@@ -45,10 +39,16 @@
 #ifndef ILAN_GATE_SANITIZED
 #define ILAN_GATE_SANITIZED 0
 #endif
+#ifndef ILAN_BUILD_TYPE
+#define ILAN_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
 using namespace ilan;
+
+constexpr int kWarmup = 1;
+constexpr int kReps = 5;
 
 int failures = 0;
 
@@ -57,53 +57,10 @@ void check(bool ok, const char* what) {
   if (!ok) ++failures;
 }
 
-// Median-of-reps seconds-per-iteration of `fn` — robust against a noisy
-// neighbor perturbing one rep.
-template <typename Fn>
-double time_loop(int reps, int iters, Fn&& fn) {
-  std::vector<double> secs;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) fn(i);
-    const auto t1 = std::chrono::steady_clock::now();
-    secs.push_back(std::chrono::duration<double>(t1 - t0).count() / iters);
-  }
-  std::sort(secs.begin(), secs.end());
-  return secs[secs.size() / 2];
-}
-
-void micro_gate(int tasks, double min_speedup) {
-  std::printf("solver_gate: micro (tasks=%d)\n", tasks);
-  constexpr int kReps = 5;
-  constexpr int kIters = 2000;
-
-  mem::FlowNetwork rebuild_net;
-  const double full_s = time_loop(kReps, kIters, [&](int) {
-    bench::paper_scale::build(rebuild_net, tasks);
-    rebuild_net.solve();
-  });
-
-  mem::FlowNetwork delta_net;
-  delta_net.set_record(true);
-  bench::paper_scale::build(delta_net, tasks);
-  delta_net.solve();
-  bool replay_survived = true;
-  const double delta_s = time_loop(kReps, kIters, [&](int i) {
-    const double wobble = 0.25e9 * (i % 4);
-    delta_net.set_capacity(bench::paper_scale::kSlackConstraint, 21e9 + wobble);
-    const auto dr = delta_net.solve_delta();
-    if (dr.full_fallback || dr.rounds_reused != dr.rounds_total) replay_survived = false;
-  });
-
-  check(replay_survived, "journal replay survives the slack-constraint wobble");
-  const double speedup = delta_s > 0.0 ? full_s / delta_s : 0.0;
-  std::printf("  full=%.0fns delta=%.0fns speedup=%.2fx (floor %.2fx)\n", full_s * 1e9,
-              delta_s * 1e9, speedup, min_speedup);
-  if (ILAN_GATE_SANITIZED || min_speedup <= 0.0) {
-    std::printf("  [skip] speedup floor (sanitized build or floor disabled)\n");
-  } else {
-    check(speedup >= min_speedup, "delta resolve beats full rebuild by the floor factor");
-  }
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 void harness_gate(const char* kernel, double min_hit, double default_min_evps) {
@@ -112,39 +69,53 @@ void harness_gate(const char* kernel, double min_hit, double default_min_evps) {
   std::printf("solver_gate: harness (%s)\n", kernel);
   kernels::KernelOptions opts;
   opts.timesteps = 3;
-  const auto r = bench::run_once(kernel, "ilan", 42, opts);
-  if (!r.ok()) {
-    std::printf("  [FAIL] run_once(%s) failed: %s\n", kernel, r.error.c_str());
-    ++failures;
-    return;
+  std::vector<double> evps;
+  for (int i = 0; i < kWarmup + kReps; ++i) {
+    const auto r = bench::run_once(kernel, "ilan", 42, opts);
+    if (!r.ok()) {
+      std::printf("  [FAIL] run_once(%s) failed: %s\n", kernel, r.error.c_str());
+      ++failures;
+      return;
+    }
+    if (i == 0) {
+      const auto& s = r.solver;
+      std::printf(
+          "  resolves=%llu full_builds=%llu cap_updates=%llu skipped=%llu coalesced=%llu "
+          "hit=%.4f events=%llu\n",
+          static_cast<unsigned long long>(s.resolves),
+          static_cast<unsigned long long>(s.full_builds),
+          static_cast<unsigned long long>(s.cap_updates),
+          static_cast<unsigned long long>(s.skipped),
+          static_cast<unsigned long long>(s.coalesced), s.hit_rate(),
+          static_cast<unsigned long long>(r.events_fired));
+      check(s.resolves == s.full_builds + s.cap_updates + s.skipped + s.coalesced,
+            "counter invariant: resolves = full_builds + cap_updates + skipped + coalesced");
+      check(s.cap_updates > 0, "steady-state kernel produces incremental cap_updates");
+      check(s.hit_rate() >= min_hit, "cache hit rate holds the floor");
+    }
+    if (i >= kWarmup) {
+      evps.push_back(r.host_s > 0.0 ? static_cast<double>(r.events_fired) / r.host_s : 0.0);
+    }
   }
-  const auto& s = r.solver;
-  const double evps = r.host_s > 0.0 ? static_cast<double>(r.events_fired) / r.host_s : 0.0;
-  std::printf(
-      "  resolves=%llu full_builds=%llu cap_updates=%llu skipped=%llu coalesced=%llu "
-      "hit=%.4f events/s=%.0f\n",
-      static_cast<unsigned long long>(s.resolves), static_cast<unsigned long long>(s.full_builds),
-      static_cast<unsigned long long>(s.cap_updates), static_cast<unsigned long long>(s.skipped),
-      static_cast<unsigned long long>(s.coalesced), s.hit_rate(), evps);
-  check(s.resolves == s.full_builds + s.cap_updates + s.skipped + s.coalesced,
-        "counter invariant: resolves = full_builds + cap_updates + skipped + coalesced");
-  check(s.cap_updates > 0, "steady-state kernel produces incremental cap_updates");
-  check(s.hit_rate() >= min_hit, "cache hit rate holds the floor");
+  const double med = median(evps);
+  std::vector<double> dev;
+  for (const double e : evps) dev.push_back(std::fabs(e - med));
+  std::printf("  events/s samples (%d warm-up run(s) discarded, build %s):", kWarmup,
+              ILAN_BUILD_TYPE);
+  for (const double e : evps) std::printf(" %.0f", e);
+  std::printf("\n  events/s median=%.0f mad=%.0f floor=%.0f\n", med, median(dev), min_evps);
   if (ILAN_GATE_SANITIZED || min_evps <= 0.0) {
     std::printf("  [skip] events/s floor (sanitized build or floor disabled)\n");
   } else {
-    check(evps >= min_evps, "events/s holds the floor");
+    check(med >= min_evps, "median events/s holds the floor");
   }
 }
 
 }  // namespace
 
 int main() {
-  const double min_speedup = obs::parse_env_double("ILAN_SOLVER_MIN_SPEEDUP", 2.0, 0.0, 1e6);
   const double min_hit = obs::parse_env_double("ILAN_SOLVER_MIN_HIT", 0.8, 0.0, 1.0);
 
-  micro_gate(16, min_speedup);
-  micro_gate(64, min_speedup);
   // Floors are 1.5x the pre-optimization events/s baselines (DESIGN.md §13).
   harness_gate("sp", min_hit, 126'750.0);
   harness_gate("cg", min_hit, 149'550.0);

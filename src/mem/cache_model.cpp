@@ -15,18 +15,21 @@ CacheModel::CacheModel(const topo::Topology& topo, const CacheParams& params)
   }
 }
 
-void CacheModel::touch_block(CcdCache& c, const BlockKey& key) {
-  const auto it = c.index.find(key);
-  if (it != c.index.end()) {
+bool CacheModel::touch_block(CcdCache& c, const BlockKey& key) {
+  // One hash lookup: try_emplace either finds the resident block or inserts
+  // the new one (its LRU position is filled in below).
+  const auto [it, inserted] = c.index.try_emplace(key);
+  if (!inserted) {
     c.lru.splice(c.lru.begin(), c.lru, it->second);
-    return;
+    return true;
   }
   c.lru.push_front(key);
-  c.index.emplace(key, c.lru.begin());
+  it->second = c.lru.begin();
   while (c.index.size() > c.capacity_blocks) {
     c.index.erase(c.lru.back());
     c.lru.pop_back();
   }
+  return false;
 }
 
 double CacheModel::access(topo::CcdId ccd, RegionId region, std::uint64_t offset,
@@ -46,12 +49,7 @@ double CacheModel::access(topo::CcdId ccd, RegionId region, std::uint64_t offset
   std::uint64_t resident = 0;
   for (std::uint64_t b = first; b <= last; ++b) {
     const BlockKey key{region, b};
-    if (bypass) {
-      if (c.index.contains(key)) ++resident;
-    } else {
-      if (c.index.contains(key)) ++resident;
-      touch_block(c, key);
-    }
+    if (bypass ? c.index.contains(key) : touch_block(c, key)) ++resident;
   }
   probes_ += nblocks;
   hits_ += resident;

@@ -68,7 +68,9 @@ class CacheModel {
     std::unordered_map<BlockKey, std::list<BlockKey>::iterator, BlockKeyHash> index;
   };
 
-  void touch_block(CcdCache& c, const BlockKey& key);
+  // Marks `key` most-recently-used, inserting (and evicting past capacity)
+  // if absent. Returns whether the block was resident.
+  bool touch_block(CcdCache& c, const BlockKey& key);
 
   CacheParams params_;
   std::vector<CcdCache> ccds_;

@@ -1,7 +1,6 @@
 #include "mem/flow_network.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -9,7 +8,11 @@ namespace ilan::mem {
 
 namespace {
 constexpr double kEps = 1e-12;
-}
+// Per-flow solve state.
+constexpr std::uint8_t kUnfrozen = 0;
+constexpr std::uint8_t kMarked = 1;  // in a saturated constraint, freezes this round
+constexpr std::uint8_t kFrozen = 2;
+}  // namespace
 
 void FlowNetwork::clear() {
   cap_.clear();
@@ -18,31 +21,16 @@ void FlowNetwork::clear() {
   rate_.clear();
   memb_begin_.clear();
   memb_.clear();
+  members_.clear();
   dead_.clear();
   live_ = 0;
-  dirty_c_.clear();
-  dirty_c_old_cap_.clear();
-  dirty_f_.clear();
-  dirty_f_old_cap_.clear();
-  invalidate_journal();
-}
-
-void FlowNetwork::invalidate_journal() {
-  journal_valid_ = false;
-  journal_.clear();
-  journal_frozen_.clear();
-}
-
-void FlowNetwork::set_record(bool on) {
-  if (record_ == on) return;
-  record_ = on;
-  invalidate_journal();
+  dirty_ = false;
 }
 
 FlowNetwork::ConstraintIdx FlowNetwork::add_constraint(double capacity) {
   if (capacity <= 0.0) throw std::invalid_argument("FlowNetwork: non-positive capacity");
   cap_.push_back(capacity);
-  invalidate_journal();
+  members_.emplace_back();
   return static_cast<ConstraintIdx>(cap_.size() - 1);
 }
 
@@ -50,12 +38,16 @@ FlowNetwork::FlowIdx FlowNetwork::add_flow(double cap, double weight,
                                            std::span<const ConstraintIdx> constraints) {
   if (cap <= 0.0) throw std::invalid_argument("FlowNetwork: non-positive flow cap");
   if (weight <= 0.0) throw std::invalid_argument("FlowNetwork: non-positive weight");
-  if (memb_begin_.empty()) memb_begin_.push_back(0);
   for (const auto c : constraints) {
     if (c < 0 || static_cast<std::size_t>(c) >= cap_.size()) {
       throw std::out_of_range("FlowNetwork: bad constraint index");
     }
+  }
+  const auto f = static_cast<FlowIdx>(flow_cap_.size());
+  if (memb_begin_.empty()) memb_begin_.push_back(0);
+  for (const auto c : constraints) {
     memb_.push_back(c);
+    members_[static_cast<std::size_t>(c)].push_back(f);  // f is the largest index yet
   }
   memb_begin_.push_back(static_cast<std::int32_t>(memb_.size()));
   flow_cap_.push_back(cap);
@@ -63,20 +55,22 @@ FlowNetwork::FlowIdx FlowNetwork::add_flow(double cap, double weight,
   rate_.push_back(0.0);
   dead_.push_back(0);
   ++live_;
-  invalidate_journal();
-  return static_cast<FlowIdx>(flow_cap_.size() - 1);
+  return f;
 }
 
 void FlowNetwork::remove_flow(FlowIdx f) {
   if (f < 0 || static_cast<std::size_t>(f) >= flow_cap_.size()) {
     throw std::out_of_range("FlowNetwork: bad flow index");
   }
-  auto& d = dead_[static_cast<std::size_t>(f)];
-  if (d != 0) throw std::logic_error("FlowNetwork: flow already removed");
-  d = 1;
+  const auto fi = static_cast<std::size_t>(f);
+  if (dead_[fi] != 0) throw std::logic_error("FlowNetwork: flow already removed");
+  dead_[fi] = 1;
   --live_;
-  rate_[static_cast<std::size_t>(f)] = 0.0;
-  invalidate_journal();
+  rate_[fi] = 0.0;
+  for (std::int32_t m = memb_begin_[fi]; m < memb_begin_[fi + 1]; ++m) {
+    auto& list = members_[static_cast<std::size_t>(memb_[static_cast<std::size_t>(m)])];
+    list.erase(std::find(list.begin(), list.end(), f));
+  }
 }
 
 void FlowNetwork::set_capacity(ConstraintIdx c, double capacity) {
@@ -86,11 +80,8 @@ void FlowNetwork::set_capacity(ConstraintIdx c, double capacity) {
   if (capacity <= 0.0) throw std::invalid_argument("FlowNetwork: non-positive capacity");
   auto& slot = cap_[static_cast<std::size_t>(c)];
   if (slot == capacity) return;
-  if (std::find(dirty_c_.begin(), dirty_c_.end(), c) == dirty_c_.end()) {
-    dirty_c_.push_back(c);
-    dirty_c_old_cap_.push_back(slot);
-  }
   slot = capacity;
+  dirty_ = true;
 }
 
 void FlowNetwork::set_flow_cap(FlowIdx f, double cap) {
@@ -103,362 +94,165 @@ void FlowNetwork::set_flow_cap(FlowIdx f, double cap) {
   if (cap <= 0.0) throw std::invalid_argument("FlowNetwork: non-positive flow cap");
   auto& slot = flow_cap_[static_cast<std::size_t>(f)];
   if (slot == cap) return;
-  if (std::find(dirty_f_.begin(), dirty_f_.end(), f) == dirty_f_.end()) {
-    dirty_f_.push_back(f);
-    dirty_f_old_cap_.push_back(slot);
-  }
   slot = cap;
+  dirty_ = true;
 }
 
+// The textbook loop, which tests/mem_flow_test.cpp keeps as its bitwise
+// oracle, runs per round: a ratio scan residual/active_weight over every
+// constraint with active_weight > eps and a cap - rate scan over every
+// unfrozen flow (the round's increment is the minimum of both, floored at
+// 0); rate += delta on every unfrozen flow and residual -= delta *
+// active_weight on every constraint (only when delta > 0); then a freeze
+// scan in increasing flow index that freezes a flow at its cap (rate >= cap
+// - eps) or in a saturated constraint (residual <= eps), subtracting its
+// weight from each member constraint's active weight as it goes; and if
+// nothing froze, a force-freeze of the lowest unfrozen flow. This loop
+// performs exactly the same floating-point operations on every value that
+// reaches a rate, in the same order, with less work:
+//
+//  * One shared level. Every unfrozen flow starts at 0.0 and receives the
+//    same sequence of `+= delta`, so all unfrozen rates equal one scalar.
+//    A flow's rate is that level when it freezes. And since rounding is
+//    monotone, min over flows of fl(cap - level) is fl(min cap - level):
+//    the flow half of the increment is one subtraction, with the minimum
+//    cap taken while the previous round compacted its survivors.
+//    The increment itself is a minimum of values, which no scan order
+//    changes (a zero or negative minimum applies nothing, so the sign of a
+//    zero minimum never matters either).
+//  * Skipping inert constraints. A constraint only matters through its
+//    residual, which is read by the ratio scan (only while its active
+//    weight is > eps) and by the freeze test of its unfrozen members. Its
+//    active weight only changes when a member freezes. So once it has no
+//    unfrozen member and an active weight <= eps, nothing ever reads its
+//    residual again in this solve, and it is swapped out of the dense
+//    active table; a constraint with no live member never enters it. One whose members are
+//    all frozen but whose active weight kept a rounding residue > eps
+//    stays, exactly as the ratio scan would keep seeing it.
+//  * The reverse index. The freeze test reads residuals only, never
+//    active weights, so the round's freeze set is fixed once the residuals
+//    are updated: flows at their cap plus the unfrozen members of every
+//    saturated constraint, which the constraint->flow index marks
+//    directly. Applying the freezes in increasing flow index keeps each
+//    constraint's active-weight subtractions in their order; the force-
+//    freeze picks the same lowest unfrozen flow.
+//  * Active weights start as the sum of the live member weights in
+//    increasing flow order, which is the order the per-constraint member
+//    lists hold.
 void FlowNetwork::solve() {
+  dirty_ = false;
   const std::size_t nf = flow_cap_.size();
   const std::size_t nc = cap_.size();
-  if (memb_begin_.empty()) memb_begin_.push_back(0);
 
-  residual_.assign(cap_.begin(), cap_.end());
-  active_weight_.assign(nc, 0.0);
-  frozen_.assign(nf, 0);
-  std::fill(rate_.begin(), rate_.end(), 0.0);
-
-  // Dead flows enter the solve pre-frozen with zero rate and contribute no
-  // weight. Skipping their terms of these ordered sums is the only
-  // difference from a from-scratch build over the live flows alone, and
-  // skipping a term leaves every partial sum bit-identical — so a solve on
-  // the persistent network equals a fresh-build solve exactly.
+  state_.resize(nf);
+  unfrozen_.resize(live_);
+  unfrozen_cap_.resize(live_);
+  std::size_t nu = 0;
+  double min_cap = std::numeric_limits<double>::infinity();
   for (std::size_t f = 0; f < nf; ++f) {
-    if (dead_[f] != 0) {
-      frozen_[f] = 1;
-      continue;
-    }
-    for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-      active_weight_[static_cast<std::size_t>(memb_[m])] += flow_weight_[f];
-    }
+    if (dead_[f] != 0) continue;
+    const double cap = flow_cap_[f];
+    state_[f] = kUnfrozen;
+    unfrozen_[nu] = static_cast<FlowIdx>(f);
+    unfrozen_cap_[nu] = cap;
+    if (cap < min_cap) min_cap = cap;
+    ++nu;
   }
 
-  dirty_c_.clear();
-  dirty_c_old_cap_.clear();
-  dirty_f_.clear();
-  dirty_f_old_cap_.clear();
-  if (record_) {
-    journal_.clear();
-    journal_frozen_.clear();
-    freeze_round_.assign(nf, kNoRound);
+  // slot_ is only ever read for constraints with a live member, which all
+  // get a slot here.
+  res_.resize(nc);
+  aw_.resize(nc);
+  unfrozen_members_.resize(nc);
+  slot_constraint_.resize(nc);
+  slot_.resize(nc);
+  active_ = 0;
+  for (std::size_t c = 0; c < nc; ++c) {
+    const auto& list = members_[c];
+    if (list.empty()) continue;
+    double w = 0.0;
+    for (const FlowIdx f : list) w += flow_weight_[static_cast<std::size_t>(f)];
+    slot_[c] = static_cast<std::int32_t>(active_);
+    res_[active_] = cap_[c];
+    aw_[active_] = w;
+    unfrozen_members_[active_] = static_cast<std::int32_t>(list.size());
+    slot_constraint_[active_] = static_cast<ConstraintIdx>(c);
+    ++active_;
   }
-  run_waterfill();
-  journal_valid_ = record_;
-}
 
-void FlowNetwork::run_waterfill() {
-  const std::size_t nf = flow_cap_.size();
-  const std::size_t nc = cap_.size();
-  unfrozen_.clear();
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (frozen_[f] == 0) unfrozen_.push_back(static_cast<FlowIdx>(f));
-  }
-  while (!unfrozen_.empty()) {
-    Round rd;
-    if (record_) {
-      rd.frozen_begin = static_cast<std::int32_t>(journal_frozen_.size());
-    }
-
-    // Largest uniform rate increment no constraint or flow cap forbids.
-    // A constraint drains at (sum of unfrozen weights) per unit of rate.
-    // The first element attaining the minimum is the round's "owner": the
-    // element whose value determined the increment (journal replay must
-    // diverge if a capacity update moved it).
-    double delta = std::numeric_limits<double>::infinity();
-    std::int32_t owner_kind = 0;
-    std::int32_t owner_idx = 0;
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (active_weight_[c] > kEps) {
-        const double v = residual_[c] / active_weight_[c];
-        if (v < delta) {
-          delta = v;
-          owner_kind = 0;
-          owner_idx = static_cast<std::int32_t>(c);
-        }
-      }
-    }
-    for (const FlowIdx fi : unfrozen_) {
-      const auto f = static_cast<std::size_t>(fi);
-      const double v = flow_cap_[f] - rate_[f];
-      if (v < delta) {
-        delta = v;
-        owner_kind = 1;
-        owner_idx = fi;
+  double level = 0.0;
+  while (nu > 0) {
+    double delta = min_cap - level;
+    for (std::size_t s = 0; s < active_; ++s) {
+      if (aw_[s] > kEps) {
+        const double v = res_[s] / aw_[s];
+        if (v < delta) delta = v;
       }
     }
     delta = std::max(delta, 0.0);
 
     if (delta > 0.0) {
-      for (const FlowIdx fi : unfrozen_) {
-        rate_[static_cast<std::size_t>(fi)] += delta;
-      }
-      for (std::size_t c = 0; c < nc; ++c) {
-        residual_[c] -= delta * active_weight_[c];
+      level += delta;
+      for (std::size_t s = 0; s < active_; ++s) res_[s] -= delta * aw_[s];
+    }
+    for (std::size_t s = 0; s < active_; ++s) {
+      if (unfrozen_members_[s] == 0 || !(res_[s] <= kEps)) continue;
+      for (const FlowIdx f : members_[static_cast<std::size_t>(slot_constraint_[s])]) {
+        auto& st = state_[static_cast<std::size_t>(f)];
+        if (st == kUnfrozen) st = kMarked;
       }
     }
 
-    // Freeze flows at their cap or in a saturated constraint. The delta
-    // choice guarantees at least one flow freezes per iteration. The
-    // unfrozen list is compacted in place — index order is preserved, so
-    // every scan visits the same flows in the same order as a loop over
-    // all of them that skips the frozen.
+    // Freeze in increasing flow index, compacting the survivors and taking
+    // the next round's minimum cap on the way.
     std::size_t keep = 0;
-    std::size_t frozen_now = 0;
-    for (std::size_t i = 0; i < unfrozen_.size(); ++i) {
-      const FlowIdx fi = unfrozen_[i];
-      const auto f = static_cast<std::size_t>(fi);
-      bool freeze = rate_[f] >= flow_cap_[f] - kEps;
-      if (!freeze) {
-        for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1] && !freeze; ++m) {
-          freeze = residual_[static_cast<std::size_t>(memb_[m])] <= kEps;
-        }
+    min_cap = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < nu; ++i) {
+      const FlowIdx f = unfrozen_[i];
+      if (level >= unfrozen_cap_[i] - kEps || state_[static_cast<std::size_t>(f)] == kMarked) {
+        freeze(f, level);
+        continue;
       }
-      if (freeze) {
-        frozen_[f] = 1;
-        for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-          active_weight_[static_cast<std::size_t>(memb_[m])] -= flow_weight_[f];
-        }
-        if (record_) {
-          journal_frozen_.push_back(fi);
-          freeze_round_[f] = static_cast<std::int32_t>(journal_.size());
-        }
-        ++frozen_now;
-      } else {
-        unfrozen_[keep++] = fi;
-      }
+      const double cap = unfrozen_cap_[i];
+      unfrozen_[keep] = f;
+      unfrozen_cap_[keep] = cap;
+      if (cap < min_cap) min_cap = cap;
+      ++keep;
     }
-    unfrozen_.resize(keep);
-    if (frozen_now == 0) {
+    if (keep == nu) {
       // Numerical corner: force-freeze the first unfrozen flow.
-      const FlowIdx fi = unfrozen_.front();
-      const auto f = static_cast<std::size_t>(fi);
-      frozen_[f] = 1;
-      for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-        active_weight_[static_cast<std::size_t>(memb_[m])] -= flow_weight_[f];
+      freeze(unfrozen_[0], level);
+      --keep;
+      min_cap = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < keep; ++i) {
+        unfrozen_[i] = unfrozen_[i + 1];
+        unfrozen_cap_[i] = unfrozen_cap_[i + 1];
+        if (unfrozen_cap_[i] < min_cap) min_cap = unfrozen_cap_[i];
       }
-      if (record_) {
-        journal_frozen_.push_back(fi);
-        freeze_round_[f] = static_cast<std::int32_t>(journal_.size());
-      }
-      unfrozen_.erase(unfrozen_.begin());
     }
-    if (record_) {
-      rd.delta = delta;
-      rd.owner_kind = owner_kind;
-      rd.owner_idx = owner_idx;
-      rd.frozen_end = static_cast<std::int32_t>(journal_frozen_.size());
-      journal_.push_back(rd);
-    }
+    nu = keep;
   }
 }
 
-FlowNetwork::DeltaResult FlowNetwork::solve_delta() {
-  DeltaResult out;
-  if (!record_ || !journal_valid_) {
-    solve();
-    out.full_fallback = true;
-    out.rounds_total = static_cast<std::int32_t>(journal_.size());
-    return out;
-  }
-  out.rounds_total = static_cast<std::int32_t>(journal_.size());
-  if (dirty_c_.empty() && dirty_f_.empty()) {
-    out.rounds_reused = out.rounds_total;
-    return out;
-  }
-  const std::size_t nf = flow_cap_.size();
-  const std::size_t nc = cap_.size();
-
-  // Reconstruct the recorded trajectory instead of reading snapshots: the
-  // journal stores no per-round state, so the walk recomputes what it
-  // needs with the exact arithmetic (same values, same order) the
-  // recording solve performed — every quantity inspected below is
-  // bit-identical to what a snapshot would have held. Validation needs
-  // only the active weights (cheap to maintain: each recorded freeze is
-  // retired once, so the whole walk costs O(total memberships)) and the
-  // residuals of the *changed* constraints, tracked on both the old
-  // (recorded-cap) and new (updated-cap) trajectories. The full residual
-  // vector is only materialized if some round actually diverges — see the
-  // second pass below. Net effect: recording costs the hot path almost
-  // nothing, a surviving replay costs O(flows + rounds * changes), and
-  // only a divergent replay pays O(rounds * constraints).
-  //
-  // Same accumulation order as solve()'s init: flow order, dead skipped.
-  active_weight_.assign(nc, 0.0);
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (dead_[f] != 0) continue;
-    for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-      active_weight_[static_cast<std::size_t>(memb_[m])] += flow_weight_[f];
+void FlowNetwork::freeze(FlowIdx f, double level) {
+  const auto fi = static_cast<std::size_t>(f);
+  state_[fi] = kFrozen;
+  rate_[fi] = level;
+  const double w = flow_weight_[fi];
+  for (std::int32_t m = memb_begin_[fi]; m < memb_begin_[fi + 1]; ++m) {
+    const auto c = static_cast<std::size_t>(memb_[static_cast<std::size_t>(m)]);
+    const auto s = static_cast<std::size_t>(slot_[c]);
+    aw_[s] -= w;
+    if (--unfrozen_members_[s] > 0 || aw_[s] > kEps) continue;
+    // Inert from now on: swap the last active slot into its place.
+    const std::size_t last = --active_;
+    if (s != last) {
+      res_[s] = res_[last];
+      aw_[s] = aw_[last];
+      unfrozen_members_[s] = unfrozen_members_[last];
+      slot_constraint_[s] = slot_constraint_[last];
+      slot_[static_cast<std::size_t>(slot_constraint_[s])] = static_cast<std::int32_t>(s);
     }
-  }
-
-  // Start-of-round residuals for the changed constraints on both
-  // trajectories.
-  replay_res_.clear();
-  replay_res_old_.clear();
-  for (std::size_t k = 0; k < dirty_c_.size(); ++k) {
-    replay_res_.push_back(cap_[static_cast<std::size_t>(dirty_c_[k])]);
-    replay_res_old_.push_back(dirty_c_old_cap_[k]);
-  }
-
-  double sum = 0.0;  // shared rate of every unfrozen flow (prefix sum)
-  std::size_t div = journal_.size();
-  for (std::size_t r = 0; r < journal_.size(); ++r) {
-    const Round& rd = journal_[r];
-    bool valid = true;
-
-    // A changed element that determined the recorded increment moves it.
-    if (rd.owner_kind == 0) {
-      for (std::size_t k = 0; k < dirty_c_.size() && valid; ++k) {
-        if (rd.owner_idx == dirty_c_[k]) valid = false;
-      }
-    } else {
-      for (std::size_t k = 0; k < dirty_f_.size() && valid; ++k) {
-        if (rd.owner_idx == dirty_f_[k]) valid = false;
-      }
-    }
-
-    // Changed constraints must not undercut the recorded increment, and
-    // must keep their recorded saturation outcome. Both sides of the
-    // saturation test repeat the full solve's exact arithmetic
-    // (residual -= delta * active_weight, applied only when delta > 0).
-    for (std::size_t k = 0; k < dirty_c_.size() && valid; ++k) {
-      const auto c = static_cast<std::size_t>(dirty_c_[k]);
-      const double aw = active_weight_[c];
-      const double res_new = replay_res_[k];
-      if (aw > kEps && res_new / aw < rd.delta) valid = false;
-      const double after_new = rd.delta > 0.0 ? res_new - rd.delta * aw : res_new;
-      const double after_old =
-          rd.delta > 0.0 ? replay_res_old_[k] - rd.delta * aw : replay_res_old_[k];
-      if ((after_new <= kEps) != (after_old <= kEps)) valid = false;
-    }
-    // Changed flows still unfrozen at this round: same two conditions
-    // against their own (old vs new) caps. Every unfrozen flow's rate is
-    // the shared prefix sum, so no per-flow state is needed.
-    for (std::size_t k = 0; k < dirty_f_.size() && valid; ++k) {
-      const auto f = static_cast<std::size_t>(dirty_f_[k]);
-      const std::int32_t fr = freeze_round_[f];
-      if (fr != kNoRound && fr < static_cast<std::int32_t>(r)) continue;
-      const double cap_new = flow_cap_[f];
-      const double cap_old = dirty_f_old_cap_[k];
-      if (cap_new - sum < rd.delta) valid = false;
-      const double next = rd.delta > 0.0 ? sum + rd.delta : sum;
-      if ((next >= cap_new - kEps) != (next >= cap_old - kEps)) valid = false;
-    }
-
-    if (!valid) {
-      div = r;
-      break;
-    }
-
-    // Round r survives the update bit-for-bit. Advance both trajectories
-    // of the changed constraints, then retire this round's freezes from
-    // the active weights — the same ops, in the same order, as the
-    // recording solve.
-    if (rd.delta > 0.0) {
-      for (std::size_t k = 0; k < dirty_c_.size(); ++k) {
-        const double aw = active_weight_[static_cast<std::size_t>(dirty_c_[k])];
-        replay_res_[k] -= rd.delta * aw;
-        replay_res_old_[k] -= rd.delta * aw;
-      }
-      sum += rd.delta;
-    }
-    for (std::int32_t i = rd.frozen_begin; i < rd.frozen_end; ++i) {
-      const auto f =
-          static_cast<std::size_t>(journal_frozen_[static_cast<std::size_t>(i)]);
-      for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-        active_weight_[static_cast<std::size_t>(memb_[m])] -= flow_weight_[f];
-      }
-    }
-    ++out.rounds_reused;
-  }
-
-  if (div == journal_.size()) {
-    // The whole journal survives: increments and freeze schedule match what
-    // a full solve under the new values would produce, so the rates — sums
-    // of those increments — are already exact.
-    dirty_c_.clear();
-    dirty_c_old_cap_.clear();
-    dirty_f_.clear();
-    dirty_f_old_cap_.clear();
-    return out;
-  }
-
-  // Round `div` diverged: materialize the full start-of-round state with a
-  // second journal pass. Replaying increments and freezes from the old
-  // capacities repeats the recording solve's arithmetic exactly, so this
-  // residual_ / active_weight_ state is bit-identical to the state the
-  // solve held entering round `div`; the dirty constraints then switch to
-  // the new trajectory. Only this (rare) divergent path pays the
-  // O(rounds * constraints) cost.
-  const Round dr = journal_[div];
-  residual_.assign(cap_.begin(), cap_.end());
-  for (std::size_t k = 0; k < dirty_c_.size(); ++k) {
-    residual_[static_cast<std::size_t>(dirty_c_[k])] = dirty_c_old_cap_[k];
-  }
-  active_weight_.assign(nc, 0.0);
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (dead_[f] != 0) continue;
-    for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-      active_weight_[static_cast<std::size_t>(memb_[m])] += flow_weight_[f];
-    }
-  }
-  for (std::size_t r = 0; r < div; ++r) {
-    const Round& rd = journal_[r];
-    if (rd.delta > 0.0) {
-      for (std::size_t c = 0; c < nc; ++c) {
-        residual_[c] -= rd.delta * active_weight_[c];
-      }
-    }
-    for (std::int32_t i = rd.frozen_begin; i < rd.frozen_end; ++i) {
-      const auto f =
-          static_cast<std::size_t>(journal_frozen_[static_cast<std::size_t>(i)]);
-      for (std::int32_t m = memb_begin_[f]; m < memb_begin_[f + 1]; ++m) {
-        active_weight_[static_cast<std::size_t>(memb_[m])] -= flow_weight_[f];
-      }
-    }
-  }
-  for (std::size_t k = 0; k < dirty_c_.size(); ++k) {
-    residual_[static_cast<std::size_t>(dirty_c_[k])] = replay_res_[k];
-  }
-  frozen_.assign(nf, 0);
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (dead_[f] != 0) frozen_[f] = 1;  // dead flows stay excluded
-  }
-  for (std::int32_t i = 0; i < dr.frozen_begin; ++i) {
-    frozen_[static_cast<std::size_t>(journal_frozen_[static_cast<std::size_t>(i)])] = 1;
-  }
-  // Unfrozen rates are the shared prefix sum (bit-identical to the full
-  // solve's repeated `rate += delta`); frozen rates keep their journaled,
-  // prefix-validated values.
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (frozen_[f] == 0) rate_[f] = sum;
-  }
-  journal_.resize(div);
-  journal_frozen_.resize(static_cast<std::size_t>(dr.frozen_begin));
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (freeze_round_[f] >= static_cast<std::int32_t>(div)) freeze_round_[f] = kNoRound;
-  }
-  dirty_c_.clear();
-  dirty_c_old_cap_.clear();
-  dirty_f_.clear();
-  dirty_f_old_cap_.clear();
-  run_waterfill();
-  out.rounds_total = static_cast<std::int32_t>(journal_.size());
-  return out;
-}
-
-void FlowNetwork::check_against_full() {
-  const std::vector<double> got(rate_.begin(), rate_.end());
-  solve();
-  const bool same =
-      got.size() == rate_.size() &&
-      (got.empty() ||
-       std::memcmp(got.data(), rate_.data(), got.size() * sizeof(double)) == 0);
-  if (!same) {
-    throw std::logic_error(
-        "FlowNetwork::check_against_full: delta solve diverged from full solve");
   }
 }
 

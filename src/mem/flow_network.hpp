@@ -10,37 +10,15 @@
 // Designed as a PERSISTENT, incrementally-updated problem: callers append
 // flows as work arrives (add_flow) and tombstone them as it drains
 // (remove_flow) instead of rebuilding from scratch. A tombstoned flow keeps
-// its index — so recorded journals and caller-side flow handles stay valid
-// — but is excluded from every solve: it contributes no active weight,
-// receives no rate and is skipped by the freeze scan. Because exclusion
-// just skips terms of ordered sums and min-reductions, a solve over the
-// persistent network is bit-identical to a from-scratch solve over only the
-// live flows in the same order. Constraints are never removed; one with no
-// live member flows has active weight exactly 0.0 and is inert (it can
-// never own a round or freeze a flow), so its capacity may go stale without
-// affecting any rate. Callers compact (clear + re-add live flows) when
-// tombstones accumulate.
-//
-// Delta re-solving: with set_record(true), solve() journals every
-// water-filling round — just the uniform increment, which element
-// determined it, and which flows froze. Recording deliberately stores no
-// per-round state snapshots: the journal walk in solve_delta()
-// reconstructs the residual / active-weight trajectory by re-applying the
-// recorded increments and freezes with the exact arithmetic (same values,
-// same order) the recording solve performed, so every start-of-round state
-// it visits is bit-identical to what a snapshot would have held. That
-// keeps the hot path (every solve records) nearly free and puts the
-// reconstruction cost on the rare cap-only resolve that replays. A
-// recorded round stays valid as long as no *changed* element undercuts the
-// recorded increment, changes its saturation outcome, or was the element
-// that determined the increment. The first round where that fails, the
-// solver keeps the reconstructed start-of-round state and re-enters the
-// generic loop — every arithmetic operation performed on surviving state
-// is the same operation the full solve would perform, in the same order,
-// so the resulting rates are bit-identical to a from-scratch solve()
-// (checkable at runtime with check_against_full()). Structural edits
-// (add_flow, remove_flow, add_constraint) invalidate the journal; the next
-// solve re-levels from zero on the persistent structure and re-records.
+// its index — so caller-side flow handles stay valid — but is excluded
+// from every solve: it contributes no active weight, receives no rate and
+// is skipped by the freeze scan. Because exclusion just skips terms of
+// ordered sums and min-reductions, a solve over the persistent network is
+// bit-identical to a from-scratch solve over only the live flows in the
+// same order. Constraints are never removed; one with no live member flows
+// has active weight exactly 0.0 and is inert (it can never own a round or
+// freeze a flow), so its capacity may go stale without affecting any rate.
+// Callers compact (clear + re-add live flows) when tombstones accumulate.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +32,7 @@ class FlowNetwork {
   using ConstraintIdx = std::int32_t;
   using FlowIdx = std::int32_t;
 
-  // Resets to an empty problem, retaining capacity (and the recording
-  // flag). Any recorded journal is discarded.
+  // Resets to an empty problem, retaining capacity.
   void clear();
 
   // Adds a capacity constraint (capacity in arbitrary rate units, > 0).
@@ -70,7 +47,7 @@ class FlowNetwork {
                    std::span<const ConstraintIdx> constraints);
 
   // Tombstones a live flow: it keeps its index but is excluded from all
-  // subsequent solves (rate forced to 0). Invalidates the journal.
+  // subsequent solves (rate forced to 0).
   void remove_flow(FlowIdx f);
   [[nodiscard]] bool dead(FlowIdx f) const {
     return dead_.at(static_cast<std::size_t>(f)) != 0;
@@ -78,14 +55,13 @@ class FlowNetwork {
 
   // In-place updates for incremental re-solving: callers that keep the
   // constraint/membership structure of a previous problem can refresh
-  // capacities and flow caps without rebuilding, then call solve() (or,
-  // with recording on, solve_delta()) again. Setting a value equal to the
-  // current one is a no-op and does not dirty the recorded journal.
+  // capacities and flow caps without rebuilding, then call solve() again.
+  // Setting a value equal to the current one is a no-op.
   void set_capacity(ConstraintIdx c, double capacity);
   void set_flow_cap(FlowIdx f, double cap);
   // True when set_capacity/set_flow_cap changed something since the last
-  // solve()/solve_delta().
-  [[nodiscard]] bool dirty() const { return !dirty_c_.empty() || !dirty_f_.empty(); }
+  // solve().
+  [[nodiscard]] bool dirty() const { return dirty_; }
 
   [[nodiscard]] std::int32_t num_flows() const { return static_cast<std::int32_t>(flow_cap_.size()); }
   [[nodiscard]] std::int32_t num_constraints() const {
@@ -98,62 +74,11 @@ class FlowNetwork {
   // Solves max-min fairness from scratch; results via rate().
   void solve();
 
-  // --- delta re-solving ---------------------------------------------------
-
-  // Enables/disables journal recording. Off by default: plain solve() users
-  // pay nothing. Turning recording off discards the journal.
-  void set_record(bool on);
-  [[nodiscard]] bool record() const { return record_; }
-  // True when a journal from a completed solve is available for replay.
-  [[nodiscard]] bool journal_valid() const { return journal_valid_; }
-
-  struct DeltaResult {
-    // No usable journal (recording off, structure changed, first solve):
-    // solve_delta() fell back to a full solve().
-    bool full_fallback = false;
-    // Rounds replayed from the journal vs. rounds the full solve ran last
-    // time. rounds_reused == rounds_total means no re-levelling at all.
-    std::int32_t rounds_reused = 0;
-    std::int32_t rounds_total = 0;
-  };
-
-  // Re-solves after set_capacity/set_flow_cap updates by journal replay
-  // (see the header comment). Bit-identical to calling solve(). With no
-  // pending updates this returns immediately — the current rates are exact.
-  DeltaResult solve_delta();
-
-  // Debug cross-check: re-runs the full solve and throws std::logic_error
-  // if any rate differs bit-for-bit from the current (delta-produced)
-  // rates. The full re-solve re-records the journal, so the object remains
-  // usable for further delta solves.
-  void check_against_full();
-
   [[nodiscard]] double rate(FlowIdx f) const { return rate_.at(static_cast<std::size_t>(f)); }
   [[nodiscard]] std::span<const double> rates() const { return rate_; }
 
  private:
-  // One recorded water-filling round. Deliberately tiny — no state
-  // snapshot; solve_delta() reconstructs the start-of-round state by
-  // replaying increments and freezes in recorded order.
-  struct Round {
-    double delta = 0.0;
-    // What determined delta: 0 = a constraint (owner is its index),
-    // 1 = a flow's own cap (owner is the flow index).
-    std::int32_t owner_kind = 0;
-    std::int32_t owner_idx = 0;
-    // Flows frozen by this round: journal_frozen_[frozen_begin, frozen_end).
-    std::int32_t frozen_begin = 0;
-    std::int32_t frozen_end = 0;
-  };
-  static constexpr std::int32_t kNoRound = -1;
-
-  void invalidate_journal();
-  // The generic water-filling loop, recording rounds when record_ is set.
-  // residual_/active_weight_/frozen_/rate_ must describe a consistent
-  // mid-solve state on entry (dead flows marked frozen); the unfrozen set
-  // is derived from frozen_ and maintained as a compact, index-ordered list
-  // so per-round work scales with live flows, not lifetime appends.
-  void run_waterfill();
+  void freeze(FlowIdx f, double level);
 
   // Constraint capacities.
   std::vector<double> cap_;
@@ -164,34 +89,28 @@ class FlowNetwork {
   // CSR-style membership: flow -> constraints.
   std::vector<std::int32_t> memb_begin_;
   std::vector<ConstraintIdx> memb_;
+  // Reverse index: constraint -> its live member flows, ascending.
+  std::vector<std::vector<FlowIdx>> members_;
   // Tombstones (1 = dead) and the live count.
   std::vector<std::uint8_t> dead_;
   std::size_t live_ = 0;
+  bool dirty_ = false;
 
-  // Scratch (kept across solves).
-  std::vector<double> residual_;
-  std::vector<double> active_weight_;
-  std::vector<std::uint8_t> frozen_;
-  std::vector<FlowIdx> unfrozen_;  // compact, increasing flow index
-
-  // Pending in-place updates since the last solve (first-write order; both
-  // lists keep the pre-update value so replay can walk the old trajectory
-  // and compare freeze outcomes old-vs-new).
-  std::vector<ConstraintIdx> dirty_c_;
-  std::vector<double> dirty_c_old_cap_;
-  std::vector<FlowIdx> dirty_f_;
-  std::vector<double> dirty_f_old_cap_;
-
-  // Round journal (valid only while journal_valid_).
-  bool record_ = false;
-  bool journal_valid_ = false;
-  std::vector<Round> journal_;
-  std::vector<FlowIdx> journal_frozen_;
-  std::vector<std::int32_t> freeze_round_;  // per flow; kNoRound = unfrozen
-  // Per dirty constraint scratch: start-of-round residuals on the new
-  // (updated-cap) and old (recorded-cap) trajectories.
-  std::vector<double> replay_res_;
-  std::vector<double> replay_res_old_;
+  // Solve scratch (kept across solves). The active constraints — those
+  // whose residual can still matter — are the first active_ slots of a
+  // dense table: residual, active weight, unfrozen member count and
+  // constraint index per slot; slot_ maps a constraint to its slot.
+  std::size_t active_ = 0;
+  std::vector<double> res_;
+  std::vector<double> aw_;
+  std::vector<std::int32_t> unfrozen_members_;
+  std::vector<ConstraintIdx> slot_constraint_;
+  std::vector<std::int32_t> slot_;
+  // Unfrozen flows, compact and in increasing flow index, with their caps
+  // alongside.
+  std::vector<FlowIdx> unfrozen_;
+  std::vector<double> unfrozen_cap_;
+  std::vector<std::uint8_t> state_;  // per flow, see kUnfrozen/kMarked/kFrozen
 };
 
 }  // namespace ilan::mem

@@ -64,7 +64,6 @@ MemorySystem::MemorySystem(sim::Engine& engine, const topo::Topology& topo,
                      static_cast<std::size_t>(topo_.num_sockets()),
                  -1);
   controller_live_.assign(nn, 0);
-  net_.set_record(true);  // journal rounds for delta re-solving
   solver_check_ = obs::env_flag("ILAN_SOLVER_CHECK");
 }
 
@@ -111,18 +110,31 @@ ExecId MemorySystem::begin(topo::CoreId core, double cpu_cycles,
   if (!on_complete) throw std::invalid_argument("MemorySystem::begin: null callback");
 
   const ExecId id = next_id_++;
-  ExecRecord rec;
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  // A reused slot keeps its vectors' capacity.
+  ExecRecord& rec = pool_[slot];
+  rec.id = id;
   rec.core = core;
   rec.cpu_remaining = cpu_cycles;
   rec.cpu_hz = core_hz(core);
+  rec.flows.clear();
+  rec.gather_frac.clear();
   rec.on_complete = std::move(on_complete);
   rec.last_update = engine_.now();
+  rec.completion_event = sim::kInvalidEvent;
   build_flows(rec, accesses);
-  ExecRecord& stored = active_.emplace(id, std::move(rec)).first->second;
-  // ExecIds are monotone and active_ is ExecId-ordered, so appending here
-  // keeps the persistent network's live flows in exactly the order a
-  // from-scratch build over active_ would emit them.
-  append_exec_flows(stored);
+  // ExecIds are monotone, so appending keeps active_ in ExecId order — and
+  // the persistent network's live flows in exactly the order a from-scratch
+  // build over active_ would emit them.
+  active_.push_back(slot);
+  append_exec_flows(rec);
   resolve_dirty_ = true;
   schedule_resolve();
   return id;
@@ -315,7 +327,8 @@ void MemorySystem::reschedule_completions(sim::SimTime now) {
   // perform on an unchanged problem: one reschedule (one schedule sequence
   // number) per active execution, in ExecId order, at an unchanged eta —
   // so the committed event stream is bit-identical to the full pipeline.
-  for (auto& [id, rec] : active_) {
+  for (const std::uint32_t slot : active_) {
+    ExecRecord& rec = pool_[slot];
     rec.completion_event = engine_.reschedule(rec.completion_event, eta(rec, now));
   }
 }
@@ -427,7 +440,7 @@ void MemorySystem::compact_network() {
   std::fill(core_c_.begin(), core_c_.end(), -1);
   std::fill(link_c_.begin(), link_c_.end(), -1);
   std::fill(controller_live_.begin(), controller_live_.end(), 0);
-  for (auto& [id, rec] : active_) append_exec_flows(rec);
+  for (const std::uint32_t slot : active_) append_exec_flows(pool_[slot]);
 }
 
 void MemorySystem::resolve() {
@@ -449,37 +462,37 @@ void MemorySystem::resolve() {
   resolve_dirty_ = false;
   last_resolve_time_ = now;
 
-  // 1. Advance everyone to `now`, then re-read each core's effective
-  // frequency: consumed cycles were burned at the old rate, remaining
-  // cycles drain at the current one. With only static noise this re-reads
-  // the same value; with a throttle fault active it is how the slowdown
-  // takes effect mid-execution.
-  for (auto& [id, rec] : active_) {
-    advance(rec, now);
-    rec.cpu_hz = core_hz(rec.core);
-  }
-
-  // 2. Structural maintenance: tombstone flows that crossed the drain
-  // threshold since the last resolve (new executions' flows were appended
-  // by begin()). A drained flow contributes nothing to the max-min problem;
-  // excluding it here is exactly the "skip drained flows" a from-scratch
-  // build performs.
-  for (auto& [id, rec] : active_) {
-    for (auto& f : rec.flows) {
-      if (f.net_idx >= 0 && f.remaining <= kTinyBytes) tombstone_flow(f);
-    }
-  }
-
-  // 3. Stream load per controller for the congestion derating. One task is
-  // one request stream; a task whose bytes split across controllers loads
-  // each with its byte fraction (a sequential reader visits one controller
-  // at a time — counting whole flows would overstate interference).
+  // Three walks over the execution table, in ExecId order. Each record
+  // sees the same floating-point operations, and the engine the same
+  // reschedule/schedule/cancel sequence, as one walk per step would give:
+  // every step reads and writes only its own record, except the shared
+  // per-controller stream sums (accumulated in the same record order) and
+  // the network solve, which sits between walks 2 and 3.
+  //
+  // Walk 1. Advance each execution to `now`, then re-read its core's
+  // effective frequency: consumed cycles were burned at the old rate,
+  // remaining cycles drain at the current one (a throttle fault takes
+  // effect mid-execution this way). Tombstone flows that crossed the drain
+  // threshold since the last resolve — exactly the "skip drained flows" a
+  // from-scratch build performs (new executions' flows were appended by
+  // begin()). Then add the execution's stream load per controller for the
+  // congestion derating: one task is one request stream, and a task whose
+  // bytes split across controllers loads each with its byte fraction (a
+  // sequential reader visits one controller at a time — counting whole
+  // flows would overstate interference).
   std::vector<double>& streams_on_controller = streams_scratch_;
   streams_on_controller.assign(nn, 0.0);
-  for (const auto& [id, rec] : active_) {
+  for (const std::uint32_t slot : active_) {
+    ExecRecord& rec = pool_[slot];
+    advance(rec, now);
+    rec.cpu_hz = core_hz(rec.core);
     double total = 0.0;
-    for (const auto& f : rec.flows) {
-      if (f.remaining > kTinyBytes) total += f.remaining;
+    for (auto& f : rec.flows) {
+      if (f.remaining > kTinyBytes) {
+        total += f.remaining;
+      } else if (f.net_idx >= 0) {
+        tombstone_flow(f);
+      }
     }
     if (total <= 0.0) continue;
     for (const auto& f : rec.flows) {
@@ -492,8 +505,7 @@ void MemorySystem::resolve() {
           streams_on_controller[i] += frac * rec.gather_frac[i];
         }
       } else {
-        streams_on_controller[static_cast<std::size_t>(f.src_node)] +=
-            frac;
+        streams_on_controller[static_cast<std::size_t>(f.src_node)] += frac;
       }
     }
   }
@@ -508,7 +520,7 @@ void MemorySystem::resolve() {
     }
   }
 
-  // 4. Bring the persistent network up to date. Compact first if
+  // Walk 2. Bring the persistent network up to date. Compact first if
   // tombstones dominate, then refresh every derived capacity: controller
   // caps on nodes with live stream members (a controller without any is
   // inert — active weight exactly 0 — so its stale cap can influence no
@@ -530,70 +542,56 @@ void MemorySystem::resolve() {
       net_.set_capacity(controller_c_[i], controller_cap(i, streams_on_controller));
     }
   }
-  for (auto& [id, rec] : active_) {
-    for (auto& f : rec.flows) {
+  for (const std::uint32_t slot : active_) {
+    const ExecRecord& rec = pool_[slot];
+    if (rec.gather_frac.empty()) continue;  // no gather flow
+    for (const auto& f : rec.flows) {
       if (f.gather && f.net_idx >= 0) {
         net_.set_flow_cap(f.net_idx, gather_cap_for(rec, streams_on_controller));
       }
     }
   }
 
-  // 5. Re-level. Structural edits re-run the water-filling from zero on the
-  // persistent structure (the journal they invalidated re-records);
-  // cap-only updates replay the journal (FlowNetwork::solve_delta); an
-  // unchanged problem is skipped outright — the solver is deterministic,
-  // so the current rates are still exact.
+  // Re-level: a structural edit or a moved capacity re-runs the
+  // water-filling on the persistent structure; an unchanged problem is
+  // skipped outright — the solver is deterministic, so the current rates
+  // are still exact.
   if (rebuilt) {
     ++solver_stats_.full_builds;
     net_.solve();
-  } else if (net_structural_) {
+  } else if (net_structural_ || net_.dirty()) {
     ++solver_stats_.cap_updates;
     net_.solve();
-  } else if (net_.dirty()) {
-    ++solver_stats_.cap_updates;
-    const FlowNetwork::DeltaResult dr = net_.solve_delta();
-    if (!dr.full_fallback) {
-      ++solver_stats_.delta_solves;
-      solver_stats_.delta_rounds_reused += dr.rounds_reused;
-      solver_stats_.delta_rounds_total += dr.rounds_total;
-    }
   } else {
     ++solver_stats_.skipped;
   }
   net_structural_ = false;
   if (solver_check_) check_against_fresh(streams_on_controller);
 
-  for (auto& [id, rec] : active_) {
-    for (auto& f : rec.flows) {
-      if (f.net_idx >= 0) f.rate = net_.rate(f.net_idx);
-    }
-  }
-
-  // 6. Reschedule completions. Live executions keep their event slot (and
-  // its callback closure) across resolves — reschedule() consumes exactly
-  // the one sequence number cancel+schedule_at used to, so the committed
-  // event stream is unchanged while the slot-recycling churn is gone.
+  // Walk 3. Read the rates back, then finish or reschedule each execution.
+  // Live executions keep their event slot (and its callback closure)
+  // across resolves — reschedule() consumes exactly the one sequence
+  // number cancel+schedule_at used to, so the committed event stream is
+  // unchanged while the slot-recycling churn is gone.
+  const std::span<const double> rates = net_.rates();
   std::vector<ExecId> done;
-  for (auto& [id, rec] : active_) {
+  for (const std::uint32_t slot : active_) {
+    ExecRecord& rec = pool_[slot];
     bool finished = rec.cpu_remaining <= kTinyCycles;
-    if (finished) {
-      for (const auto& f : rec.flows) {
-        if (f.remaining > kTinyBytes) {
-          finished = false;
-          break;
-        }
-      }
+    for (auto& f : rec.flows) {
+      if (f.net_idx >= 0) f.rate = rates[static_cast<std::size_t>(f.net_idx)];
+      if (f.remaining > kTinyBytes) finished = false;
     }
     if (finished) {
       if (rec.completion_event != sim::kInvalidEvent) {
         engine_.cancel(rec.completion_event);
         rec.completion_event = sim::kInvalidEvent;
       }
-      done.push_back(id);
+      done.push_back(rec.id);
     } else if (rec.completion_event != sim::kInvalidEvent) {
       rec.completion_event = engine_.reschedule(rec.completion_event, eta(rec, now));
     } else {
-      const ExecId eid = id;
+      const ExecId eid = rec.id;
       rec.completion_event = engine_.schedule_at(
           eta(rec, now), [this, eid] { complete(eid); }, sim::kTagMemComplete);
     }
@@ -646,10 +644,11 @@ void MemorySystem::check_against_fresh(
   std::vector<FlowNetwork::ConstraintIdx> core_c(
       static_cast<std::size_t>(topo_.num_cores()), -1);
 
-  for (auto& [id, rec] : active_) {
+  for (const std::uint32_t slot : active_) {
+    const ExecRecord& rec = pool_[slot];
     const auto& core = topo_.core(rec.core);
     const topo::NodeId home = core.node;
-    for (auto& f : rec.flows) {
+    for (const auto& f : rec.flows) {
       if (f.net_idx < 0) continue;
       if (core_c[rec.core.index()] < 0) {
         core_c[rec.core.index()] = net.add_constraint(core.core_bw_gbps * kGB);
@@ -691,8 +690,8 @@ void MemorySystem::check_against_fresh(
   net.solve();
 
   FlowNetwork::FlowIdx k = 0;
-  for (auto& [id, rec] : active_) {
-    for (auto& f : rec.flows) {
+  for (const std::uint32_t slot : active_) {
+    for (const auto& f : pool_[slot].flows) {
       if (f.net_idx < 0) continue;
       if (net.rate(k) != net_.rate(f.net_idx)) {
         throw std::logic_error(
@@ -705,13 +704,17 @@ void MemorySystem::check_against_fresh(
 }
 
 void MemorySystem::complete(ExecId id) {
-  const auto it = active_.find(id);
-  if (it == active_.end()) return;
-  advance(it->second, engine_.now());
-  for (auto& f : it->second.flows) {
+  const auto it = std::lower_bound(
+      active_.begin(), active_.end(), id,
+      [this](std::uint32_t slot, ExecId key) { return pool_[slot].id < key; });
+  if (it == active_.end() || pool_[*it].id != id) return;
+  ExecRecord& rec = pool_[*it];
+  advance(rec, engine_.now());
+  for (auto& f : rec.flows) {
     if (f.net_idx >= 0) tombstone_flow(f);
   }
-  auto cb = std::move(it->second.on_complete);
+  auto cb = std::move(rec.on_complete);
+  free_slots_.push_back(*it);
   active_.erase(it);
   resolve_dirty_ = true;
   schedule_resolve();
@@ -721,9 +724,10 @@ void MemorySystem::complete(ExecId id) {
 std::vector<MemorySystem::ExecSnapshot> MemorySystem::snapshot() const {
   std::vector<ExecSnapshot> out;
   out.reserve(active_.size());
-  for (const auto& [id, rec] : active_) {
+  for (const std::uint32_t slot : active_) {
+    const ExecRecord& rec = pool_[slot];
     ExecSnapshot s;
-    s.id = id;
+    s.id = rec.id;
     s.core = rec.core;
     s.cpu_remaining = rec.cpu_remaining;
     for (const auto& f : rec.flows) {

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -105,13 +104,6 @@ struct SolverStats {
   // tombstoned flow slots those rebuilds discarded.
   std::uint64_t compactions = 0;
   std::uint64_t flows_reclaimed = 0;
-  // cap_updates served by FlowNetwork journal replay (vs full re-levelling
-  // on the persistent structure), and how much re-levelling the replay
-  // saved: of delta_rounds_total water-filling rounds, delta_rounds_reused
-  // came from the journal instead of being re-run.
-  std::uint64_t delta_solves = 0;
-  std::uint64_t delta_rounds_reused = 0;
-  std::uint64_t delta_rounds_total = 0;
   // Fraction of resolves that avoided a from-scratch rebuild.
   [[nodiscard]] double hit_rate() const {
     return resolves > 0 ? static_cast<double>(cap_updates + skipped + coalesced) /
@@ -207,6 +199,7 @@ class MemorySystem {
     FlowNetwork::FlowIdx net_idx = -1;
   };
   struct ExecRecord {
+    ExecId id;
     topo::CoreId core;
     double cpu_remaining;  // cycles
     double cpu_hz;
@@ -259,7 +252,14 @@ class MemorySystem {
   sim::NoiseModel* noise_;
   CacheModel cache_;
 
-  std::map<ExecId, ExecRecord> active_;  // ordered: deterministic iteration
+  // The execution table: active_ holds the pool_ slots of the running
+  // executions in ExecId order (ids are monotone, so begin() appends), and
+  // every walk visits executions in that deterministic order. A completion
+  // erases one slot number and frees the slot for reuse, so no record ever
+  // moves while it runs.
+  std::vector<std::uint32_t> active_;
+  std::vector<ExecRecord> pool_;
+  std::vector<std::uint32_t> free_slots_;
   ExecId next_id_ = 1;
   bool resolve_pending_ = false;
   // Same-instant coalescing: set by anything that can change the max-min
@@ -322,8 +322,7 @@ class MemorySystem {
   std::vector<FlowNetwork::ConstraintIdx> link_c_;  // per (src,dst) socket, -1
   // Per-node CXL far-tier device constraint, -1 = none yet. Created lazily
   // like the others, so it NEVER exists on tierless machines — the
-  // persistent network (and its delta-solve behavior) is bit-identical to
-  // the pre-tier code there.
+  // persistent network is bit-identical to the pre-tier code there.
   std::vector<FlowNetwork::ConstraintIdx> far_c_;
   std::vector<std::int32_t> controller_live_;  // live stream members per node
   // Set by append/tombstone: the next resolve must re-level even if no
@@ -332,9 +331,9 @@ class MemorySystem {
   // Set by reset_run() and construction: the next resolve rebuilds from
   // scratch (counted as a full_build, not a compaction).
   bool net_needs_rebuild_ = true;
-  // Compact when dead flows exceed live flows by this much — bounds both
-  // the per-solve O(num_flows) sweeps and journal memory, while keeping
-  // rebuilds rare enough to amortize to noise.
+  // Compact when dead flows exceed live flows by this much — bounds the
+  // per-solve O(num_flows) sweep while keeping rebuilds rare enough to
+  // amortize to noise.
   static constexpr std::size_t kCompactSlack = 64;
 
   SolverStats solver_stats_;

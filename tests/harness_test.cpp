@@ -41,11 +41,6 @@ void expect_bit_identical(const bench::Series& a, const bench::Series& b) {
     EXPECT_EQ(ra.solver.coalesced, rb.solver.coalesced) << "run " << i;
     EXPECT_EQ(ra.solver.compactions, rb.solver.compactions) << "run " << i;
     EXPECT_EQ(ra.solver.flows_reclaimed, rb.solver.flows_reclaimed) << "run " << i;
-    EXPECT_EQ(ra.solver.delta_solves, rb.solver.delta_solves) << "run " << i;
-    EXPECT_EQ(ra.solver.delta_rounds_reused, rb.solver.delta_rounds_reused)
-        << "run " << i;
-    EXPECT_EQ(ra.solver.delta_rounds_total, rb.solver.delta_rounds_total)
-        << "run " << i;
   }
 }
 
@@ -111,7 +106,6 @@ TEST(Harness, SteadyStateResolvesStayIncremental) {
   EXPECT_GT(t.cap_updates, 0u);
   // Full rebuilds are only the initial build plus tombstone compactions.
   EXPECT_EQ(t.full_builds, 1u + t.compactions);
-  EXPECT_LE(t.delta_rounds_reused, t.delta_rounds_total);
   EXPECT_GE(t.hit_rate(), 0.8) << "full_builds=" << t.full_builds
                                << " resolves=" << t.resolves;
 }

@@ -1,6 +1,10 @@
 // FlowNetwork (weighted max-min fairness) — unit and property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <iomanip>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -286,110 +290,328 @@ TEST(FlowNetwork, PersistentSolveMatchesFreshBuildBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta re-solving: journal replay must be bit-identical to a full solve
-// across randomized capacity perturbation sequences — including ones that
-// diverge mid-journal — and must actually reuse rounds when updates are
-// benign.
+// Bitwise oracle. solve() levels with one shared level, a dense list of
+// active constraints and a constraint->flow reverse index; the reference
+// below is the textbook water-filling loop it replaced, kept verbatim in
+// its arithmetic: per round a ratio scan over all constraints and a
+// cap - rate scan over all unfrozen flows, rate += delta per flow,
+// residual -= delta * active_weight per constraint, a freeze scan in flow
+// order and the force-freeze corner. solve() must reproduce its rates
+// bit-for-bit (memcmp, so even the sign of a zero counts).
 // ---------------------------------------------------------------------------
 
-TEST(FlowNetwork, DeltaSolveFallsBackWithoutJournal) {
-  FlowNetwork net;
-  const auto c = net.add_constraint(50.0);
-  const FlowNetwork::ConstraintIdx cs[] = {c};
-  net.add_flow(100.0, 1.0, cs);
-  // Recording off: solve_delta() degrades to a full solve.
-  const auto r = net.solve_delta();
-  EXPECT_TRUE(r.full_fallback);
-  EXPECT_DOUBLE_EQ(net.rate(0), 50.0);
+struct Spec {
+  std::vector<double> cap;  // per constraint
+  struct Flow {
+    double cap = 0.0;
+    double weight = 0.0;
+    std::vector<FlowNetwork::ConstraintIdx> cs;
+    bool dead = false;
+  };
+  std::vector<Flow> flows;
+};
 
-  net.set_record(true);
-  net.solve();
-  // Structural edits invalidate the journal; the next delta is a full solve.
-  net.add_flow(100.0, 1.0, cs);
-  EXPECT_FALSE(net.journal_valid());
-  const auto r2 = net.solve_delta();
-  EXPECT_TRUE(r2.full_fallback);
-  EXPECT_NEAR(net.rate(0), 25.0, 1e-9);
-}
+// What shaped the reference's rounds, summed over every solve of a test.
+struct OracleStats {
+  int cap_owned = 0;         // the increment came from a flow's own cap
+  int constraint_owned = 0;  // ... from a constraint's residual
+  int force_freezes = 0;     // no flow froze: the lowest one was forced
+  int multi_freeze = 0;      // rounds freezing more than one flow (ties)
+  int tombstoned_flows = 0;
+  // Ratio-scan terms from constraints whose members have all frozen, left
+  // in by an active-weight rounding residue above eps.
+  int residue_terms = 0;
+};
 
-TEST(FlowNetwork, DeltaSolveWithNoUpdatesReusesEveryRound) {
-  FlowNetwork net;
-  net.set_record(true);
-  const auto c = net.add_constraint(50.0);
-  const FlowNetwork::ConstraintIdx cs[] = {c};
-  net.add_flow(100.0, 1.0, cs);
-  net.add_flow(10.0, 1.0, cs);
-  net.solve();
-  const auto r = net.solve_delta();
-  EXPECT_FALSE(r.full_fallback);
-  EXPECT_EQ(r.rounds_reused, r.rounds_total);
-  EXPECT_GT(r.rounds_total, 0);
-}
-
-TEST(FlowNetwork, DirtySurvivesJournalInvalidation) {
-  FlowNetwork net;
-  net.set_record(true);
-  const auto c = net.add_constraint(50.0);
-  const FlowNetwork::ConstraintIdx cs[] = {c};
-  net.add_flow(100.0, 1.0, cs);
-  net.add_flow(100.0, 1.0, cs);
-  net.solve();
-  net.set_capacity(c, 60.0);
-  net.remove_flow(1);  // invalidates the journal, must NOT drop the cap dirt
-  EXPECT_TRUE(net.dirty());
-  const auto r = net.solve_delta();
-  EXPECT_TRUE(r.full_fallback);
-  EXPECT_NEAR(net.rate(0), 60.0, 1e-9);
-}
-
-TEST(FlowNetwork, RandomizedDeltaMatchesFullSolveExactly) {
-  ilan::sim::Xoshiro256ss rng(777);
-  int divergences = 0;
-  int reuses = 0;
-  for (int round = 0; round < 10; ++round) {
-    FlowNetwork net;
-    net.set_record(true);
-    const int nc = 2 + static_cast<int>(rng.below(5));
-    std::vector<FlowNetwork::ConstraintIdx> cons;
-    for (int c = 0; c < nc; ++c) cons.push_back(net.add_constraint(rng.uniform(20.0, 200.0)));
-    const int nf = 4 + static_cast<int>(rng.below(24));
-    for (int f = 0; f < nf; ++f) {
-      std::vector<FlowNetwork::ConstraintIdx> cs;
-      const int k = 1 + static_cast<int>(rng.below(2));
-      for (int j = 0; j < k; ++j) {
-        const auto c = cons[rng.below(static_cast<std::uint64_t>(nc))];
-        if (std::find(cs.begin(), cs.end(), c) == cs.end()) cs.push_back(c);
-      }
-      net.add_flow(rng.uniform(1.0, 50.0), rng.uniform(1.0, 3.0), cs);
+std::vector<double> reference_solve(const Spec& spec, OracleStats& st) {
+  constexpr double kEps = 1e-12;
+  const std::size_t nf = spec.flows.size();
+  const std::size_t nc = spec.cap.size();
+  std::vector<double> residual(spec.cap);
+  std::vector<double> active_weight(nc, 0.0);
+  std::vector<std::uint8_t> frozen(nf, 0);
+  std::vector<double> rate(nf, 0.0);
+  for (std::size_t f = 0; f < nf; ++f) {
+    if (spec.flows[f].dead) {
+      frozen[f] = 1;
+      ++st.tombstoned_flows;
+      continue;
     }
-    net.solve();
-    for (int step = 0; step < 25; ++step) {
-      // Mix benign wobbles (replay should survive) with violent swings
-      // (replay should diverge); both must land on the full solve's rates.
-      const double scale = step % 3 == 0 ? rng.uniform(0.3, 3.0) : rng.uniform(0.95, 1.05);
-      const int edits = 1 + static_cast<int>(rng.below(3));
-      for (int e = 0; e < edits; ++e) {
-        if (rng.below(2) == 0) {
-          const auto c = cons[rng.below(static_cast<std::uint64_t>(nc))];
-          net.set_capacity(c, rng.uniform(20.0, 200.0) * scale);
-        } else {
-          const auto f = static_cast<FlowNetwork::FlowIdx>(
-              rng.below(static_cast<std::uint64_t>(nf)));
-          if (!net.dead(f)) net.set_flow_cap(f, rng.uniform(1.0, 50.0) * scale);
-        }
-      }
-      const auto r = net.solve_delta();
-      EXPECT_FALSE(r.full_fallback);
-      if (r.rounds_reused > 0) ++reuses;
-      if (r.rounds_reused < r.rounds_total) ++divergences;
-      // Throws std::logic_error on any bitwise rate mismatch vs. a full
-      // re-solve (and re-records the journal for the next step).
-      EXPECT_NO_THROW(net.check_against_full()) << "round " << round << " step " << step;
+    for (const auto c : spec.flows[f].cs) {
+      active_weight[static_cast<std::size_t>(c)] += spec.flows[f].weight;
     }
   }
-  // The sequence must have exercised both replay outcomes.
-  EXPECT_GT(reuses, 0);
-  EXPECT_GT(divergences, 0);
+  std::vector<std::size_t> unfrozen;
+  for (std::size_t f = 0; f < nf; ++f) {
+    if (frozen[f] == 0) unfrozen.push_back(f);
+  }
+  while (!unfrozen.empty()) {
+    double delta = std::numeric_limits<double>::infinity();
+    bool cap_owner = false;
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (active_weight[c] > kEps) {
+        const double v = residual[c] / active_weight[c];
+        if (v < delta) delta = v;
+        if (std::none_of(unfrozen.begin(), unfrozen.end(), [&](std::size_t f) {
+              const auto& cs = spec.flows[f].cs;
+              return std::find(cs.begin(), cs.end(), static_cast<int>(c)) != cs.end();
+            })) {
+          ++st.residue_terms;
+        }
+      }
+    }
+    for (const std::size_t f : unfrozen) {
+      const double v = spec.flows[f].cap - rate[f];
+      if (v < delta) {
+        delta = v;
+        cap_owner = true;
+      }
+    }
+    ++(cap_owner ? st.cap_owned : st.constraint_owned);
+    delta = std::max(delta, 0.0);
+    if (delta > 0.0) {
+      for (const std::size_t f : unfrozen) rate[f] += delta;
+      for (std::size_t c = 0; c < nc; ++c) residual[c] -= delta * active_weight[c];
+    }
+    std::size_t keep = 0;
+    int frozen_now = 0;
+    for (std::size_t i = 0; i < unfrozen.size(); ++i) {
+      const std::size_t f = unfrozen[i];
+      const auto& fl = spec.flows[f];
+      bool freeze = rate[f] >= fl.cap - kEps;
+      for (std::size_t m = 0; m < fl.cs.size() && !freeze; ++m) {
+        freeze = residual[static_cast<std::size_t>(fl.cs[m])] <= kEps;
+      }
+      if (freeze) {
+        frozen[f] = 1;
+        for (const auto c : fl.cs) active_weight[static_cast<std::size_t>(c)] -= fl.weight;
+        ++frozen_now;
+      } else {
+        unfrozen[keep++] = f;
+      }
+    }
+    unfrozen.resize(keep);
+    if (frozen_now > 1) ++st.multi_freeze;
+    if (frozen_now == 0) {
+      ++st.force_freezes;
+      const std::size_t f = unfrozen.front();
+      frozen[f] = 1;
+      for (const auto c : spec.flows[f].cs) {
+        active_weight[static_cast<std::size_t>(c)] -= spec.flows[f].weight;
+      }
+      unfrozen.erase(unfrozen.begin());
+    }
+  }
+  return rate;
+}
+
+::testing::AssertionResult rates_bitwise_equal(const FlowNetwork& net,
+                                               const std::vector<double>& want) {
+  const auto got = net.rates();
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "flow count " << got.size() << " vs " << want.size();
+  }
+  if (!want.empty() && std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) != 0) {
+    for (std::size_t f = 0; f < want.size(); ++f) {
+      if (std::memcmp(&got[f], &want[f], sizeof(double)) != 0) {
+        return ::testing::AssertionFailure() << std::setprecision(17) << "flow " << f << ": "
+                                             << got[f] << " vs oracle " << want[f];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Random draws shaped like MemorySystem's networks and their corners:
+// capacities at bandwidth scale (1e9, where a saturated residual lands
+// above eps and forces freezes) or unit scale, values drawn from small
+// sets so caps and constraints tie, a few shared controller-like
+// constraints most flows load, and per-flow memberships of 0-4. One
+// network in four has weights near 1e5, so that a constraint whose
+// members have all frozen can keep an active-weight rounding residue
+// above eps (and stay in the ratio scan).
+class SpecGen {
+ public:
+  explicit SpecGen(std::uint64_t seed) : rng_(seed), weight_scale_(rng_.below(4) == 0 ? 1e5 : 1.0) {}
+
+  double scale() { return rng_.below(2) == 0 ? 1.0 : 1e9; }
+  double capacity(double scale) {
+    static constexpr double kSet[] = {22.0, 45.0, 90.0, 152.0};
+    return rng_.below(2) == 0 ? kSet[rng_.below(4)] * scale
+                              : rng_.uniform(10.0, 200.0) * scale;
+  }
+  double flow_cap(double scale) {
+    static constexpr double kSet[] = {7.7, 18.0, 22.0};
+    return rng_.below(2) == 0 ? kSet[rng_.below(3)] * scale : rng_.uniform(1.0, 60.0) * scale;
+  }
+  double weight() {
+    static constexpr double kSet[] = {1.0, 1.0, 1.3, 1.0 / 0.78};
+    return weight_scale_ *
+           (rng_.below(2) == 0 ? kSet[rng_.below(4)] : rng_.uniform(1.0, 3.0));
+  }
+  Spec::Flow flow(int nc, int shared, double scale) {
+    Spec::Flow fl;
+    fl.cap = flow_cap(scale);
+    fl.weight = weight();
+    const int k = static_cast<int>(rng_.below(5));
+    for (int j = 0; j < k; ++j) {
+      // Half the memberships land on the shared constraints.
+      const auto c = static_cast<FlowNetwork::ConstraintIdx>(
+          j == 0 || rng_.below(2) == 0 ? rng_.below(static_cast<std::uint64_t>(shared))
+                                       : rng_.below(static_cast<std::uint64_t>(nc)));
+      if (std::find(fl.cs.begin(), fl.cs.end(), c) == fl.cs.end()) fl.cs.push_back(c);
+    }
+    return fl;
+  }
+  std::uint64_t below(std::uint64_t n) { return rng_.below(n); }
+
+ private:
+  ilan::sim::Xoshiro256ss rng_;
+  double weight_scale_;
+};
+
+void add_to(FlowNetwork& net, Spec& spec, Spec::Flow fl) {
+  net.add_flow(fl.cap, fl.weight, fl.cs);
+  spec.flows.push_back(std::move(fl));
+}
+
+TEST(FlowNetworkOracle, RandomNetworksMatchTheTextbookLoopBitForBit) {
+  OracleStats st;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SpecGen gen(seed);
+    const double scale = gen.scale();
+    FlowNetwork net;
+    Spec spec;
+    const int nc = 1 + static_cast<int>(gen.below(12));
+    const int shared = 1 + static_cast<int>(gen.below(static_cast<std::uint64_t>(std::min(nc, 3))));
+    for (int c = 0; c < nc; ++c) {
+      spec.cap.push_back(gen.capacity(scale));
+      net.add_constraint(spec.cap.back());
+    }
+    const int nf = 1 + static_cast<int>(gen.below(60));
+    for (int f = 0; f < nf; ++f) add_to(net, spec, gen.flow(nc, shared, scale));
+    // Tombstone a random subset — sometimes everything.
+    const std::uint64_t kill = gen.below(4);
+    for (int f = 0; f < nf; ++f) {
+      if (kill == 3 || gen.below(4) < kill) {
+        net.remove_flow(f);
+        spec.flows[static_cast<std::size_t>(f)].dead = true;
+      }
+    }
+    net.solve();
+    ASSERT_TRUE(rates_bitwise_equal(net, reference_solve(spec, st))) << "seed " << seed;
+  }
+  // The draws must reach every kind of round the solver distinguishes.
+  EXPECT_GT(st.cap_owned, 0);
+  EXPECT_GT(st.constraint_owned, 0);
+  EXPECT_GT(st.force_freezes, 0);
+  EXPECT_GT(st.multi_freeze, 0);
+  EXPECT_GT(st.tombstoned_flows, 0);
+  EXPECT_GT(st.residue_terms, 0);
+}
+
+// The persistent life cycle MemorySystem drives: appends after tombstones,
+// in-place capacity and flow-cap updates, and many solves reusing one
+// object's scratch state. Every solve must match the oracle bit-for-bit.
+TEST(FlowNetworkOracle, PersistentChurnAndCapUpdatesMatchTheTextbookLoopBitForBit) {
+  OracleStats st;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SpecGen gen(1000 + seed);
+    const double scale = gen.scale();
+    FlowNetwork net;
+    Spec spec;
+    const int nc = 2 + static_cast<int>(gen.below(10));
+    const int shared = 1 + static_cast<int>(gen.below(2));
+    for (int c = 0; c < nc; ++c) {
+      spec.cap.push_back(gen.capacity(scale));
+      net.add_constraint(spec.cap.back());
+    }
+    for (int step = 0; step < 40; ++step) {
+      const int adds = static_cast<int>(gen.below(5));
+      for (int i = 0; i < adds; ++i) add_to(net, spec, gen.flow(nc, shared, scale));
+      const auto nf = static_cast<std::uint64_t>(spec.flows.size());
+      for (int i = 0; nf > 0 && i < 3; ++i) {
+        const auto f = static_cast<FlowNetwork::FlowIdx>(gen.below(nf));
+        auto& fl = spec.flows[static_cast<std::size_t>(f)];
+        switch (gen.below(3)) {
+          case 0:
+            if (!fl.dead) {
+              net.remove_flow(f);
+              fl.dead = true;
+            }
+            break;
+          case 1:
+            if (!fl.dead) {
+              fl.cap = gen.flow_cap(scale);
+              net.set_flow_cap(f, fl.cap);
+            }
+            break;
+          default: {
+            const auto c = static_cast<FlowNetwork::ConstraintIdx>(
+                gen.below(static_cast<std::uint64_t>(nc)));
+            spec.cap[static_cast<std::size_t>(c)] = gen.capacity(scale);
+            net.set_capacity(c, spec.cap[static_cast<std::size_t>(c)]);
+            break;
+          }
+        }
+      }
+      net.solve();
+      ASSERT_TRUE(rates_bitwise_equal(net, reference_solve(spec, st)))
+          << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GT(st.cap_owned, 0);
+  EXPECT_GT(st.constraint_owned, 0);
+  EXPECT_GT(st.force_freezes, 0);
+  EXPECT_GT(st.tombstoned_flows, 0);
+}
+
+// A flow's cap owns the first round, a saturated constraint the second,
+// and both freeze exactly the flows the textbook loop freezes.
+TEST(FlowNetworkOracle, CapOwnedThenConstraintOwnedRound) {
+  FlowNetwork net;
+  Spec spec;
+  spec.cap = {90.0, 40.0};
+  net.add_constraint(90.0);
+  net.add_constraint(40.0);
+  add_to(net, spec, {10.0, 1.0, {0}});      // freezes at its cap (round 1)
+  add_to(net, spec, {100.0, 1.0, {0, 1}});  // limited by constraint 1
+  add_to(net, spec, {100.0, 1.3, {1}});
+  add_to(net, spec, {100.0, 1.0, {0}});
+  net.solve();
+  OracleStats st;
+  EXPECT_TRUE(rates_bitwise_equal(net, reference_solve(spec, st)));
+  EXPECT_GT(st.cap_owned, 0);
+  EXPECT_GT(st.constraint_owned, 0);
+  EXPECT_DOUBLE_EQ(net.rate(0), 10.0);
+}
+
+// The dirty flag reports in-place updates that moved a value since the
+// last solve (equal values are no-ops), survives structural edits, and
+// solve() clears it.
+TEST(FlowNetwork, DirtyFlagTracksInPlaceUpdates) {
+  FlowNetwork net;
+  const auto c = net.add_constraint(50.0);
+  const FlowNetwork::ConstraintIdx cs[] = {c};
+  net.add_flow(100.0, 1.0, cs);
+  net.add_flow(100.0, 1.0, cs);
+  EXPECT_FALSE(net.dirty());
+  net.solve();
+  net.set_capacity(c, 50.0);
+  net.set_flow_cap(0, 100.0);
+  EXPECT_FALSE(net.dirty());
+  net.set_capacity(c, 60.0);
+  EXPECT_TRUE(net.dirty());
+  net.remove_flow(1);
+  EXPECT_TRUE(net.dirty());
+  net.solve();
+  EXPECT_FALSE(net.dirty());
+  EXPECT_NEAR(net.rate(0), 60.0, 1e-9);
+  net.set_flow_cap(0, 30.0);
+  EXPECT_TRUE(net.dirty());
+  net.solve();
+  EXPECT_DOUBLE_EQ(net.rate(0), 30.0);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // MemorySystem: task execution timing under the fluid model.
 #include <gtest/gtest.h>
 
+#include "kernels/kernels.hpp"
 #include "mem/memory_system.hpp"
+#include "obs/env.hpp"
+#include "rt/runtime.hpp"
+#include "rt/team.hpp"
+#include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
 #include "topo/builder.hpp"
 #include "topo/presets.hpp"
@@ -319,6 +324,51 @@ TEST(FarTier, TierlessMachineHasNoFarFlows) {
     for (const auto& flow : exec.flows) EXPECT_FALSE(flow.far);
   }
   f.engine.run();
+}
+
+// ILAN_SOLVER_CHECK=1 rebuilds every resolve's network from scratch and
+// throws on the first rate that differs bit-for-bit from the persistent
+// network's. Whole kernels drive the persistent network through real
+// churn (appends, drains, completions, compactions, gather-cap and
+// controller-cap updates, far-tier flows); the check must never fire, and
+// observing must not change what it observes.
+TEST(MemorySystem, SolverCheckHoldsOverWholeKernels) {
+  struct Run {
+    double makespan_s;
+    std::uint64_t events;
+    std::uint64_t digest;
+    mem::SolverStats solver;
+  };
+  const auto run = [](const char* kernel, const topo::MachineSpec& spec, bool check) {
+    const obs::ScopedEnv env("ILAN_SOLVER_CHECK", check ? "1" : "0");
+    rt::MachineParams p;
+    p.spec = spec;
+    p.noise.enabled = true;
+    p.seed = 5;
+    rt::Machine machine(p);
+    machine.engine().set_digest_enabled(true);
+    sched::IlanScheduler sched;
+    rt::Team team(machine, sched);
+    kernels::KernelOptions opts;
+    opts.timesteps = 2;
+    opts.size_factor = 0.5;
+    const auto prog = kernels::make_kernel(kernel, machine, opts);
+    const double t = sim::to_seconds(prog.run(team));
+    return Run{t, machine.engine().events_fired(), machine.engine().event_digest(),
+               machine.memory().solver_stats()};
+  };
+  for (const auto& [kernel, spec] :
+       {std::pair{"cg", topo::presets::zen4_epyc9354_2s()},
+        std::pair{"sp", topo::presets::zen4_epyc9354_2s()},
+        std::pair{"cg", topo::presets::cxl_zen4_far()}}) {
+    Run checked{};
+    ASSERT_NO_THROW(checked = run(kernel, spec, true)) << kernel;
+    const Run plain = run(kernel, spec, false);
+    EXPECT_EQ(checked.makespan_s, plain.makespan_s) << kernel;
+    EXPECT_EQ(checked.events, plain.events) << kernel;
+    EXPECT_EQ(checked.digest, plain.digest) << kernel;
+    EXPECT_GT(checked.solver.cap_updates, 0u) << kernel;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "obs/env.hpp"
@@ -7,6 +8,15 @@
 #include "topo/format.hpp"
 #include "topo/presets.hpp"
 #include "topo/registry.hpp"
+
+namespace ilan::topo {
+
+// Without this gtest prints a MachineSpec parameter as a raw byte dump that
+// includes the heap address of `name`, so the listed test names (and the
+// ctest names discovered from them) would change from one run to the next.
+void PrintTo(const MachineSpec& spec, std::ostream* os) { *os << spec.name; }
+
+}  // namespace ilan::topo
 
 namespace {
 

@@ -75,13 +75,13 @@
 # ASan and TSan.
 #
 # `solver` is the incremental-solver gate: the FlowNetwork unit tests
-# (including the randomized full-vs-delta equivalence test), the
-# bench/solver_gate regression gate (delta-vs-rebuild speedup floor, cache
-# hit-rate floor, events/s floor — timing floors disable themselves in
-# sanitized builds), and a solver_gate rerun with ILAN_SOLVER_CHECK=1 so
-# every resolve of the sp/cg runs is cross-checked bit-for-bit against a
-# from-scratch solve. Runs on the primary build and then under ASan and
-# TSan.
+# (including the randomized bitwise equivalence test against the textbook
+# water-filling loop kept in the test as an oracle), the bench/solver_gate
+# regression gate (cache hit-rate floor, counter invariant, median-of-runs
+# events/s floor — the timing floor disables itself in sanitized builds),
+# and a solver_gate rerun with ILAN_SOLVER_CHECK=1 so every resolve of the
+# sp/cg runs is cross-checked bit-for-bit against a from-scratch solve.
+# Runs on the primary build and then under ASan and TSan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -226,13 +226,13 @@ run_solver_one() {
   cmake -B "$build_dir" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     ${san:+-DILAN_SANITIZE="$san"}
   cmake --build "$build_dir" -j "$jobs" --target test_mem_flow solver_gate
-  echo "== FlowNetwork tests incl. full-vs-delta equivalence (${san:-plain}) =="
+  echo "== FlowNetwork tests incl. bitwise oracle equivalence (${san:-plain}) =="
   "./$build_dir/tests/test_mem_flow"
   echo "== solver_gate (${san:-plain}) =="
   ILAN_BENCH_JSON=0 "./$build_dir/bench/solver_gate"
   echo "== solver_gate with ILAN_SOLVER_CHECK=1 (${san:-plain}) =="
-  ILAN_BENCH_JSON=0 ILAN_SOLVER_CHECK=1 ILAN_SOLVER_MIN_SPEEDUP=0 \
-    ILAN_SOLVER_MIN_EVPS=0 "./$build_dir/bench/solver_gate"
+  ILAN_BENCH_JSON=0 ILAN_SOLVER_CHECK=1 ILAN_SOLVER_MIN_EVPS=0 \
+    "./$build_dir/bench/solver_gate"
 }
 
 run_serve_one() {
