@@ -128,7 +128,7 @@ ExecId MemorySystem::begin(topo::CoreId core, double cpu_cycles,
   rec.gather_frac.clear();
   rec.on_complete = std::move(on_complete);
   rec.last_update = engine_.now();
-  rec.completion_event = sim::kInvalidEvent;
+  rec.eta = kNotDue;
   build_flows(rec, accesses);
   // ExecIds are monotone, so appending keeps active_ in ExecId order — and
   // the persistent network's live flows in exactly the order a from-scratch
@@ -322,15 +322,44 @@ sim::SimTime MemorySystem::eta(const ExecRecord& rec, sim::SimTime now) const {
   return now + std::max<sim::SimTime>(1, sim::from_seconds(secs));
 }
 
-void MemorySystem::reschedule_completions(sim::SimTime now) {
-  // Replays exactly the event operations the tail of a full resolve would
-  // perform on an unchanged problem: one reschedule (one schedule sequence
-  // number) per active execution, in ExecId order, at an unchanged eta —
-  // so the committed event stream is bit-identical to the full pipeline.
-  for (const std::uint32_t slot : active_) {
-    ExecRecord& rec = pool_[slot];
-    rec.completion_event = engine_.reschedule(rec.completion_event, eta(rec, now));
+void MemorySystem::arm_completion() {
+  if (due_at_next_ == 0) {
+    if (completion_event_ != sim::kInvalidEvent) {
+      engine_.cancel(completion_event_);
+      completion_event_ = sim::kInvalidEvent;
+    }
+    return;
   }
+  const sim::SimTime at = pool_[next_slot_].eta;
+  if (completion_event_ != sim::kInvalidEvent) {
+    completion_event_ = engine_.reschedule(completion_event_, at);
+  } else {
+    completion_event_ =
+        engine_.schedule_at(at, [this] { fire_completion(); }, sim::kTagMemComplete);
+  }
+}
+
+void MemorySystem::fire_completion() {
+  completion_event_ = sim::kInvalidEvent;  // fired: the handle is stale
+  const ExecId id = pool_[next_slot_].id;
+  if (--due_at_next_ > 0) {
+    // The next execution due at this instant is the next one in ExecId
+    // order with this eta (earlier ones already fired). Re-arm tied, so it
+    // pops before anything this completion schedules — where its own
+    // event would have popped next.
+    const sim::SimTime now = engine_.now();
+    const auto next = std::find_if(find_active(id) + 1, active_.end(),
+                                   [&](std::uint32_t slot) { return pool_[slot].eta == now; });
+    if (next == active_.end()) {
+      throw std::logic_error("MemorySystem: completion tie without a due execution");
+    }
+    next_slot_ = *next;
+    completion_event_ =
+        engine_.schedule_tied(now, [this] { fire_completion(); }, sim::kTagMemComplete);
+  }
+  // Otherwise the event stays disarmed: complete() schedules a resolve at
+  // this instant, which pops before any later event and re-arms it.
+  complete(id);
 }
 
 double MemorySystem::controller_cap(
@@ -452,11 +481,11 @@ void MemorySystem::resolve() {
   // the last one with nothing dirty (no execution started or finished, no
   // fault knob moved, no explicit request) would recompute every value it
   // computed — zero time has passed, so no flow drained and no structural
-  // bit changed. Only the completion rescheduling has an observable effect
-  // (it consumes schedule sequence numbers); replay just that.
+  // bit changed. Only the completion event's reschedule has an observable
+  // effect (it consumes a schedule sequence number); replay just that.
   if (!resolve_dirty_ && now == last_resolve_time_) {
     ++solver_stats_.coalesced;
-    reschedule_completions(now);
+    arm_completion();
     return;
   }
   resolve_dirty_ = false;
@@ -568,13 +597,15 @@ void MemorySystem::resolve() {
   net_structural_ = false;
   if (solver_check_) check_against_fresh(streams_on_controller);
 
-  // Walk 3. Read the rates back, then finish or reschedule each execution.
-  // Live executions keep their event slot (and its callback closure)
-  // across resolves — reschedule() consumes exactly the one sequence
-  // number cancel+schedule_at used to, so the committed event stream is
-  // unchanged while the slot-recycling churn is gone.
+  // Walk 3. Read the rates back, collect the executions that already
+  // finished, and give every other one its eta, tracking the earliest
+  // (eta, ExecId) — the first record in active_ order wins ties. Then one
+  // engine call points the completion event at it (see the ordering
+  // argument in memory_system.hpp). It must precede the completions below,
+  // whose callbacks may schedule events of their own.
   const std::span<const double> rates = net_.rates();
   std::vector<ExecId> done;
+  due_at_next_ = 0;
   for (const std::uint32_t slot : active_) {
     ExecRecord& rec = pool_[slot];
     bool finished = rec.cpu_remaining <= kTinyCycles;
@@ -583,19 +614,18 @@ void MemorySystem::resolve() {
       if (f.remaining > kTinyBytes) finished = false;
     }
     if (finished) {
-      if (rec.completion_event != sim::kInvalidEvent) {
-        engine_.cancel(rec.completion_event);
-        rec.completion_event = sim::kInvalidEvent;
-      }
       done.push_back(rec.id);
-    } else if (rec.completion_event != sim::kInvalidEvent) {
-      rec.completion_event = engine_.reschedule(rec.completion_event, eta(rec, now));
-    } else {
-      const ExecId eid = rec.id;
-      rec.completion_event = engine_.schedule_at(
-          eta(rec, now), [this, eid] { complete(eid); }, sim::kTagMemComplete);
+      continue;
+    }
+    rec.eta = eta(rec, now);
+    if (due_at_next_ == 0 || rec.eta < pool_[next_slot_].eta) {
+      next_slot_ = slot;
+      due_at_next_ = 1;
+    } else if (rec.eta == pool_[next_slot_].eta) {
+      ++due_at_next_;
     }
   }
+  arm_completion();
   for (const ExecId id : done) complete(id);
 }
 
@@ -703,11 +733,18 @@ void MemorySystem::check_against_fresh(
   }
 }
 
-void MemorySystem::complete(ExecId id) {
+std::vector<std::uint32_t>::iterator MemorySystem::find_active(ExecId id) {
   const auto it = std::lower_bound(
       active_.begin(), active_.end(), id,
       [this](std::uint32_t slot, ExecId key) { return pool_[slot].id < key; });
-  if (it == active_.end() || pool_[*it].id != id) return;
+  if (it == active_.end() || pool_[*it].id != id) {
+    throw std::logic_error("MemorySystem: no running execution with this id");
+  }
+  return it;
+}
+
+void MemorySystem::complete(ExecId id) {
+  const auto it = find_active(id);
   ExecRecord& rec = pool_[*it];
   advance(rec, engine_.now());
   for (auto& f : rec.flows) {

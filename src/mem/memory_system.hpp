@@ -11,6 +11,26 @@
 //   * cross-socket link capacity shared by all inter-socket traffic.
 // Rates are re-solved whenever an execution starts or finishes.
 //
+// Completions: each MemorySystem keeps at most ONE pending `mem-complete`
+// engine event, armed at the earliest (eta, ExecId) among the running
+// executions, and each re-solve makes one engine call for it (reschedule,
+// schedule, or cancel when nothing runs). This commits exactly the event
+// stream that one event per execution, all rescheduled on every re-solve,
+// would commit:
+//   * those per-execution reschedule/schedule calls ran back to back and
+//     cancel consumes no sequence number, so after every re-solve their
+//     events held a contiguous block of sequence numbers in ExecId order
+//     with no other event numbered inside it. One event keyed like the
+//     block's first member pops at the same place relative to every other
+//     event.
+//   * when it fires and another execution is due at the same instant, it
+//     re-arms through Engine::schedule_tied, keeping the firing event's
+//     sequence number: it pops before anything the firing callback
+//     scheduled, which is where the block's next member would have popped.
+//   * otherwise it stays disarmed: complete() schedules a re-solve at this
+//     instant, which pops before any later event and re-arms it.
+// Every committed event keeps its time, fire index and tag.
+//
 // Access kinds:
 //   kRead/kWrite  — streaming over [offset, offset+len); first-touch places
 //                   pages; the CCD L3 model can satisfy part of the traffic.
@@ -198,6 +218,7 @@ class MemorySystem {
     // (tombstoned) or when the flow was born below the drain threshold.
     FlowNetwork::FlowIdx net_idx = -1;
   };
+  static constexpr sim::SimTime kNotDue = INT64_MAX;
   struct ExecRecord {
     ExecId id;
     topo::CoreId core;
@@ -209,7 +230,9 @@ class MemorySystem {
     std::vector<double> gather_frac;
     std::function<void()> on_complete;
     sim::SimTime last_update = 0;
-    sim::EventId completion_event = sim::kInvalidEvent;
+    // Completion time computed by the last resolve; kNotDue for an
+    // execution begun since (it gets one at the next resolve).
+    sim::SimTime eta = kNotDue;
   };
 
   void build_flows(ExecRecord& rec, std::span<const AccessDescriptor> accesses);
@@ -227,7 +250,13 @@ class MemorySystem {
   // non-incremental path) and throws if any rate differs bit-for-bit from
   // the persistent network's.
   void check_against_fresh(const std::vector<double>& streams_on_controller);
-  void reschedule_completions(sim::SimTime now);
+  // Points the completion event at pool_[next_slot_].eta — the one engine
+  // call per resolve (cancels it when nothing is due).
+  void arm_completion();
+  // The completion event's callback: completes the earliest execution and,
+  // if another is due at this instant, re-arms tied for it.
+  void fire_completion();
+  [[nodiscard]] std::vector<std::uint32_t>::iterator find_active(ExecId id);
   [[nodiscard]] double gather_cap_for(const ExecRecord& rec,
                                       const std::vector<double>& streams_on_controller) const;
   [[nodiscard]] double eff_to(topo::NodeId src, topo::NodeId home) const {
@@ -261,12 +290,19 @@ class MemorySystem {
   std::vector<ExecRecord> pool_;
   std::vector<std::uint32_t> free_slots_;
   ExecId next_id_ = 1;
+  // The single completion event and its target: the running execution
+  // with the earliest (eta, ExecId) is pool_[next_slot_], and due_at_next_
+  // running executions (it included) share its eta. kInvalidEvent while
+  // nothing is due.
+  sim::EventId completion_event_ = sim::kInvalidEvent;
+  std::uint32_t next_slot_ = 0;
+  std::uint32_t due_at_next_ = 0;
   bool resolve_pending_ = false;
   // Same-instant coalescing: set by anything that can change the max-min
   // problem (begin/complete, fault knobs, request_resolve), cleared by a
   // resolve. A resolve firing at the timestamp of the previous one with
-  // nothing dirty replays only the completion rescheduling — the rest of
-  // the pipeline would recompute identical values.
+  // nothing dirty replays only the completion event's reschedule — the
+  // rest of the pipeline would recompute identical values.
   bool resolve_dirty_ = true;
   sim::SimTime last_resolve_time_ = 0;
   TrafficStats traffic_;

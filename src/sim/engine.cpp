@@ -130,15 +130,7 @@ void Engine::heap_remove(std::size_t pos) {
 EventId Engine::schedule_at(SimTime at, Callback fn, EventTag tag, bool daemon) {
   check_schedule(at);
   if (!fn) throw std::invalid_argument("Engine: null callback");
-  const std::uint32_t idx = acquire_slot();
-  Slot& s = slot(idx);
-  s.fn = std::move(fn);
-  s.tag = tag;
-  s.daemon = daemon;
-  heap_push(Entry{at, next_seq_++, idx, s.generation});
-  ++live_;
-  if (!daemon) ++live_regular_;
-  return (static_cast<EventId>(s.generation) << 32) | idx;
+  return push_event(at, next_seq_++, std::move(fn), tag, daemon);
 }
 
 EventId Engine::reschedule(EventId id, SimTime at) {
@@ -193,7 +185,9 @@ std::size_t Engine::run_until(SimTime limit) {
     if (!s.daemon) --live_regular_;
     now_ = top.at;
     commit_event(top.at, fired_, s.tag);
+    tied_seq_ = top.seq;
     s.fn();
+    tied_seq_ = 0;
     s.fn.reset();
     s.next_free = free_head_;
     free_head_ = top.slot;
@@ -216,6 +210,7 @@ void Engine::reset() {
   live_regular_ = 0;
   fired_ = 0;
   next_seq_ = 1;
+  tied_seq_ = 0;
   digest_ = 0;
   trace_.clear();
   trace_truncated_ = false;

@@ -28,12 +28,15 @@
 //   * The heap is *indexed*: every slot records where its entry sits, so
 //     cancel() and reschedule() edit the entry in place (one short sift)
 //     instead of pushing a replacement and lazily skipping the stale one
-//     on pop. Resolve-heavy workloads reschedule every in-flight
-//     completion on every resolve; with lazy deletion those reschedules
-//     dominated the run (the heap was ~95% corpses, and every corpse cost
-//     a full pop). The committed event stream is unchanged: reschedule
-//     consumes the same sequence number either way, and a min-heap pops
-//     the same live (time, seq) order no matter how removals happen.
+//     on pop. A min-heap pops the same live (time, seq) order no matter
+//     how removals happen, so this is invisible to the committed stream.
+//   * Long-lived events move instead of multiplying. The memory system
+//     keeps ONE completion event armed at its earliest finishing
+//     execution and moves it with one reschedule() per bandwidth re-solve
+//     (see mem/memory_system.hpp). When several executions finish at the
+//     same instant, the firing callback re-arms the event with
+//     schedule_tied(), which reuses the firing event's sequence number
+//     (why that preserves the committed stream is argued there).
 #pragma once
 
 #include <cstddef>
@@ -234,17 +237,27 @@ class Engine {
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Callback>>>
   EventId schedule_at(SimTime at, F&& fn, EventTag tag = 0, bool daemon = false) {
     check_schedule(at);
-    const std::uint32_t idx = acquire_slot();
-    Slot& s = slot(idx);
-    s.fn.emplace(std::forward<F>(fn));
-    s.tag = tag;
-    s.daemon = daemon;
-    heap_push(Entry{at, next_seq_++, idx, s.generation});
-    ++live_;
-    if (!daemon) ++live_regular_;
-    return (static_cast<EventId>(s.generation) << 32) | idx;
+    return push_event(at, next_seq_++, std::forward<F>(fn), tag, daemon);
   }
   EventId schedule_at(SimTime at, Callback fn, EventTag tag = 0, bool daemon = false);
+
+  // Schedules a regular event at `at` (>= now()) that takes over the
+  // sequence number of the event whose callback is running, so it sorts
+  // exactly where that event sat: after every event that popped before it,
+  // before every event scheduled since — its own callback's included.
+  // Consumes no sequence number. A callback may call this at most once
+  // (two entries sharing one key would tie); throws std::logic_error
+  // outside a callback or on a second call from the same one.
+  template <typename F>
+  EventId schedule_tied(SimTime at, F&& fn, EventTag tag = 0) {
+    if (tied_seq_ == 0) {
+      throw std::logic_error("Engine: schedule_tied outside a callback, or twice in one");
+    }
+    check_schedule(at);
+    const std::uint64_t seq = tied_seq_;
+    tied_seq_ = 0;
+    return push_event(at, seq, std::forward<F>(fn), tag, /*daemon=*/false);
+  }
 
   // Schedules `fn` to run `delay` after now().
   template <typename F>
@@ -276,7 +289,6 @@ class Engine {
   // Pending non-daemon events — what actually keeps run()/run_until() going.
   [[nodiscard]] std::size_t pending_regular() const { return live_regular_; }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const { return next_seq_ - 1; }
 
   // Size of the slot pool (== high-water mark of concurrently pending
   // events). Exposed for tests and diagnostics.
@@ -360,6 +372,23 @@ class Engine {
     if (at < now_) throw std::logic_error("Engine: scheduling into the past");
   }
 
+  template <typename F>
+  EventId push_event(SimTime at, std::uint64_t seq, F&& fn, EventTag tag, bool daemon) {
+    const std::uint32_t idx = acquire_slot();
+    Slot& s = slot(idx);
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      s.fn = std::forward<F>(fn);
+    } else {
+      s.fn.emplace(std::forward<F>(fn));
+    }
+    s.tag = tag;
+    s.daemon = daemon;
+    heap_push(Entry{at, seq, idx, s.generation});
+    ++live_;
+    if (!daemon) ++live_regular_;
+    return (static_cast<EventId>(s.generation) << 32) | idx;
+  }
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
   void heap_push(const Entry& e);
@@ -383,6 +412,9 @@ class Engine {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
+  // Sequence number of the event whose callback is running, until a
+  // schedule_tied() claims it; 0 outside callbacks (no event has seq 0).
+  std::uint64_t tied_seq_ = 0;
   std::size_t live_ = 0;
   std::size_t live_regular_ = 0;
   std::uint64_t fired_ = 0;

@@ -94,9 +94,10 @@ TEST(Harness, SeriesAggregatesCoverAllRuns) {
 
 // The point of the incremental-resolve work: a steady-state kernel must
 // serve the vast majority of its resolves in place on the persistent
-// network (cap_updates or skipped, not full_builds). Guards the exact
-// regression BENCH_harness.json used to show — full_builds ~= resolves,
-// cap_updates == 0 — from coming back.
+// network (cap_updates or skipped, not full_builds). Guards against the
+// from-scratch behaviour coming back: full_builds ~= resolves with
+// cap_updates == 0, as the capture in BENCH_harness.json showed before the
+// persistent network existed.
 TEST(Harness, SteadyStateResolvesStayIncremental) {
   setenv("ILAN_BENCH_JSON", "0", 1);
   const auto r = bench::run_once("sp", "ilan", 42, small_opts());

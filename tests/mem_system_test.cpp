@@ -1,6 +1,9 @@
 // MemorySystem: task execution timing under the fluid model.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "kernels/kernels.hpp"
 #include "mem/memory_system.hpp"
 #include "obs/env.hpp"
@@ -8,6 +11,7 @@
 #include "rt/team.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_tags.hpp"
 #include "topo/builder.hpp"
 #include "topo/presets.hpp"
 
@@ -212,6 +216,104 @@ TEST(MemorySystem, RejectsBadArguments) {
   Fixture f;
   EXPECT_THROW(f.ms.begin(topo::CoreId{0}, -1.0, {}, [] {}), std::invalid_argument);
   EXPECT_THROW(f.ms.begin(topo::CoreId{0}, 1.0, {}, nullptr), std::invalid_argument);
+}
+
+// --- completion event ------------------------------------------------------
+//
+// One mem-complete event per MemorySystem, armed at the earliest (eta,
+// ExecId); executions finishing at one instant still commit one event each.
+
+// Pure-compute executions on tiny_2n8c's 3 GHz cores: 3e9 cycles finish at
+// exactly 1 s, and dyadic checkpoints keep the re-solved etas exact. Cores
+// go deliberately out of order, so ExecId (begin) order is not core order.
+void begin_identical_computes(Fixture& f, std::vector<sim::SimTime>& done,
+                              std::vector<int>& order) {
+  static constexpr int kCores[] = {3, 1, 0, 2, 6, 5, 4, 7};
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    f.ms.begin(topo::CoreId{kCores[i]}, 3e9, {}, [&f, &done, &order, i] {
+      done[i] = f.engine.now();
+      order.push_back(static_cast<int>(i));
+    });
+  }
+}
+
+TEST(MemorySystemCompletion, SimultaneousFinishesFireSeparatelyInExecIdOrder) {
+  Fixture f;
+  f.engine.enable_trace(1024);
+  std::vector<sim::SimTime> done(6, -1);
+  std::vector<int> order;
+  begin_identical_computes(f, done, order);
+  f.engine.run_until(sim::from_seconds(0.5));
+  // Six executions run and one completion event is pending — nothing else.
+  EXPECT_EQ(f.ms.active_executions(), 6u);
+  EXPECT_EQ(f.engine.pending(), 1u);
+  f.engine.run();
+  EXPECT_EQ(f.engine.pending_regular(), 0u);
+  EXPECT_EQ(f.ms.active_executions(), 0u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  for (const auto t : done) EXPECT_EQ(t, sim::from_seconds(1.0));
+  // Six separate mem-complete events at one time, back to back in fire
+  // order (no resolve slips in between).
+  std::vector<sim::FiredEvent> completes;
+  for (const auto& ev : f.engine.trace()) {
+    if (ev.tag == sim::kTagMemComplete) completes.push_back(ev);
+  }
+  ASSERT_EQ(completes.size(), 6u);
+  for (std::size_t i = 0; i < completes.size(); ++i) {
+    EXPECT_EQ(completes[i].at, sim::from_seconds(1.0));
+    EXPECT_EQ(completes[i].seq, completes[0].seq + i);
+  }
+}
+
+TEST(MemorySystemCompletion, AtMostOneCompletionEventIsPendingThroughAMixedRun) {
+  Fixture f;
+  const auto r = f.regions.create("u", 1u << 30, mem::Placement::kInterleave);
+  int finished = 0;
+  for (int c = 0; c < 8; ++c) {
+    const auto uc = static_cast<std::uint64_t>(c);
+    const AccessDescriptor acc[] = {{r, uc << 24, (10 + 7 * uc) << 20, AccessKind::kRead}};
+    f.ms.begin(topo::CoreId{c}, 1e6 * static_cast<double>(c % 3), acc,
+               [&finished] { ++finished; });
+  }
+  // A probe every 50 us: with the probe itself popped, the queue holds the
+  // completion event plus at most one pending resolve, and never nothing
+  // while executions run.
+  int probes = 0;
+  std::function<void()> probe = [&] {
+    ++probes;
+    EXPECT_LE(f.engine.pending(), 2u);
+    if (f.ms.active_executions() > 0) {
+      EXPECT_GE(f.engine.pending(), 1u);
+    }
+    if (finished < 8) f.engine.schedule_after(sim::from_us(50), [&] { probe(); });
+  };
+  f.engine.schedule_at(0, [&] { probe(); });
+  f.engine.run();
+  EXPECT_EQ(finished, 8);
+  EXPECT_GT(probes, 8);
+  EXPECT_EQ(f.engine.pending_regular(), 0u);
+}
+
+TEST(MemorySystemCompletion, MidRunRequestResolveLeavesCompletionTimesUnchanged) {
+  Fixture plain;
+  std::vector<sim::SimTime> plain_done(4, -1);
+  std::vector<int> plain_order;
+  begin_identical_computes(plain, plain_done, plain_order);
+  plain.engine.run();
+
+  Fixture f;
+  std::vector<sim::SimTime> done(4, -1);
+  std::vector<int> order;
+  begin_identical_computes(f, done, order);
+  f.engine.schedule_at(sim::from_seconds(0.25), [&f] { f.ms.request_resolve(); });
+  f.engine.run_until(sim::from_seconds(0.5));
+  EXPECT_EQ(f.engine.pending(), 1u);
+  f.engine.run();
+  EXPECT_EQ(f.ms.solver_stats().resolves, plain.ms.solver_stats().resolves + 1);
+  EXPECT_EQ(done, plain_done);
+  EXPECT_EQ(order, plain_order);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(f.engine.pending_regular(), 0u);
 }
 
 // --- CXL far-memory tier --------------------------------------------------

@@ -77,6 +77,37 @@ constexpr Golden kGolden[] = {
     {"lulesh", "ilan-nomold", 0x2ad2b7473eb6f2efull, 0x433810e752c4a841ull},
 };
 
+// Task-graph rows: the DAG runtime path (dependency release, dep-aware
+// distribution) under the standard schedulers. Captured through the same
+// run_once configuration as kGolden; the taskloop rows above never reach
+// the task-graph release path, so without these rows nothing pins it.
+constexpr Golden kDagGolden[] = {
+    {"lu-dag", "baseline", 0xb00e45d0f8a59eebull, 0xc524dace5e76eda8ull},
+    {"lu-dag", "ilan", 0xed0f70ee09835d0full, 0x5c7a736bb9bc539cull},
+    {"lu-dag", "composed:dist=dep-aware", 0xfbd89325fbf47600ull, 0x97c7cfe55e1f3a1cull},
+    {"treered", "baseline", 0x17a08083907f5ca3ull, 0x6752531f04cee52dull},
+    {"treered", "ilan", 0x641131317f402fe3ull, 0x14a920db74a1c4a4ull},
+    {"treered", "composed:dist=dep-aware", 0x7ab703b510442852ull, 0xdcdb88f13e16339eull},
+    {"dphim", "baseline", 0x1bfdc97d54ced1b1ull, 0xb1fc67b8508f42c1ull},
+    {"dphim", "ilan", 0x6cda5610f3ffc55full, 0x5e7e83f9d356d877ull},
+    {"dphim", "composed:dist=dep-aware", 0xbda8c089bd57ec00ull, 0xbd1cb2416327327cull},
+};
+
+// Fault rows: cg under ilan with an ILAN_FAULTS scenario armed. Fault
+// transitions re-solve bandwidth through MemorySystem::request_resolve and
+// change core frequencies mid-execution, which no fault-free row exercises.
+struct FaultGolden {
+  const char* kernel;
+  const char* spec;
+  const char* faults;  // ILAN_FAULTS scenario
+  std::uint64_t event_digest;
+  std::uint64_t metrics_digest;
+};
+constexpr FaultGolden kFaultGolden[] = {
+    {"cg", "ilan", "storm", 0xf13fe577d9fe1631ull, 0x244537b7308200aaull},
+    {"cg", "ilan", "throttle", 0x4f3acf59eecdc512ull, 0xd77a2360f6b4a4cfull},
+};
+
 kernels::KernelOptions golden_opts() {
   kernels::KernelOptions opts;
   opts.timesteps = 3;
@@ -91,6 +122,32 @@ TEST(SchedEquivalence, RegistrySchedulersReproducePreRefactorDigests) {
     ASSERT_TRUE(r.ok()) << g.kernel << " / " << g.spec << ": " << r.error;
     EXPECT_EQ(r.event_digest, g.event_digest) << g.kernel << " / " << g.spec;
     EXPECT_EQ(r.metrics_digest, g.metrics_digest) << g.kernel << " / " << g.spec;
+  }
+}
+
+TEST(SchedEquivalence, TaskGraphDigestsArePinned) {
+  const obs::ScopedEnv metrics_env("ILAN_METRICS", "1");
+  const obs::ScopedEnv json_env("ILAN_BENCH_JSON", "0");
+  const obs::ScopedEnv no_faults_env("ILAN_FAULTS");
+  for (const Golden& g : kDagGolden) {
+    const auto r = bench::run_once(g.kernel, g.spec, /*seed=*/42, golden_opts());
+    ASSERT_TRUE(r.ok()) << g.kernel << " / " << g.spec << ": " << r.error;
+    EXPECT_EQ(r.event_digest, g.event_digest) << g.kernel << " / " << g.spec;
+    EXPECT_EQ(r.metrics_digest, g.metrics_digest) << g.kernel << " / " << g.spec;
+  }
+}
+
+TEST(SchedEquivalence, FaultScenarioDigestsArePinned) {
+  const obs::ScopedEnv metrics_env("ILAN_METRICS", "1");
+  const obs::ScopedEnv json_env("ILAN_BENCH_JSON", "0");
+  for (const FaultGolden& g : kFaultGolden) {
+    const obs::ScopedEnv faults_env("ILAN_FAULTS", g.faults);
+    const auto r = bench::run_once(g.kernel, g.spec, /*seed=*/42, golden_opts());
+    ASSERT_TRUE(r.ok()) << g.kernel << " / " << g.spec << " / " << g.faults << ": "
+                        << r.error;
+    EXPECT_GT(r.faults_applied, 0) << g.faults;
+    EXPECT_EQ(r.event_digest, g.event_digest) << g.kernel << " / " << g.faults;
+    EXPECT_EQ(r.metrics_digest, g.metrics_digest) << g.kernel << " / " << g.faults;
   }
 }
 
@@ -157,9 +214,10 @@ TEST(SchedEquivalence, ManualSpecMatchesManualFacade) {
 }  // namespace
 
 // Recapture recipe (only after a DELIBERATE behaviour change): build and
-// run bench/dump_digests — it prints kGolden rows in source form for the
-// exact capture configuration (paper machine, seed 42, 3 timesteps,
-// ILAN_METRICS=1 ILAN_BENCH_JSON=0) plus the two manual-scheduler goldens.
-// Paste over the table and say so loudly in the commit message. An
-// event-digest change means the SIMULATION changed — that column is the
-// one this gate exists to defend; treat a recapture of it as a red flag.
+// run bench/dump_digests — it prints the kGolden, kDagGolden and
+// kFaultGolden rows in source form for the exact capture configuration
+// (paper machine, seed 42, 3 timesteps, ILAN_METRICS=1 ILAN_BENCH_JSON=0)
+// plus the two manual-scheduler goldens. Paste over the tables and say so
+// loudly in the commit message. An event-digest change means the
+// SIMULATION changed — that column is the one this gate exists to defend;
+// treat a recapture of it as a red flag.

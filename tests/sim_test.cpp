@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -481,6 +483,110 @@ TEST(EngineDigest, ResetClearsDigestAndTrace) {
   e.reset();
   EXPECT_EQ(e.event_digest(), 0u);
   EXPECT_TRUE(e.trace().empty());
+}
+
+// schedule_tied: a callback re-arms an event that takes over the firing
+// event's sequence number. These pin the ordering the memory system's
+// single completion event relies on.
+TEST(EngineTied, FiresAfterEarlierSequenceEventsAtItsTime) {
+  Engine e;
+  std::vector<char> order;
+  e.schedule_at(200, [&] { order.push_back('a'); });  // seq 1
+  e.schedule_at(100, [&] {                             // seq 2
+    order.push_back('b');
+    e.schedule_at(200, [&] { order.push_back('d'); });  // seq 4
+    e.schedule_tied(200, [&] { order.push_back('t'); });
+  });
+  e.schedule_at(200, [&] { order.push_back('c'); });  // seq 3
+  e.run();
+  // At t=200 the tied event sorts as seq 2: after 'a', before 'c' and 'd'.
+  EXPECT_EQ(order, (std::vector<char>{'b', 'a', 't', 'c', 'd'}));
+}
+
+TEST(EngineTied, FiresBeforeEventsItsOwnCallbackScheduled) {
+  Engine e;
+  std::vector<char> order;
+  e.schedule_at(100, [&] { order.push_back('x'); });  // seq 1
+  e.schedule_at(100, [&] {                             // seq 2
+    order.push_back('y');
+    e.schedule_at(100, [&] { order.push_back('w'); });  // seq 4, same instant
+    e.schedule_tied(100, [&] { order.push_back('t'); });
+  });
+  e.schedule_at(100, [&] { order.push_back('z'); });  // seq 3
+  e.run();
+  EXPECT_EQ(order, (std::vector<char>{'x', 'y', 't', 'z', 'w'}));
+}
+
+TEST(EngineTied, ChainCommitsTheSameStreamAsABlockOfEvents) {
+  // K events in one back-to-back block at one instant versus one event
+  // that re-arms itself tied K-1 times; each also schedules a follower at
+  // the same instant. Both fire in the same order with consecutive fire
+  // indices, so the traces and digests match.
+  constexpr int kK = 5;
+  const auto run = [](bool tied) {
+    Engine e;
+    e.set_digest_enabled(true);
+    e.enable_trace(64);
+    std::vector<int> order;
+    int left = kK;
+    std::function<void()> fire = [&] {
+      order.push_back(kK - left);
+      if (--left > 0) e.schedule_tied(e.now(), [&] { fire(); }, 3);
+      e.schedule_at(e.now(), [&] { order.push_back(100); }, 9);
+    };
+    e.schedule_at(50, [&] { order.push_back(-1); }, 7);
+    if (tied) {
+      e.schedule_at(50, [&] { fire(); }, 3);
+    } else {
+      for (int i = 0; i < kK; ++i) {
+        e.schedule_at(
+            50,
+            [&, i] {
+              order.push_back(i);
+              e.schedule_at(e.now(), [&] { order.push_back(100); }, 9);
+            },
+            3);
+      }
+    }
+    e.schedule_at(50, [&] { order.push_back(-2); }, 8);
+    e.run();
+    return std::make_tuple(order, e.trace(), e.event_digest(), e.events_fired());
+  };
+  const auto [order_block, trace_block, digest_block, fired_block] = run(false);
+  const auto [order_tied, trace_tied, digest_tied, fired_tied] = run(true);
+  EXPECT_EQ(order_tied, order_block);
+  EXPECT_EQ(trace_tied, trace_block);
+  EXPECT_EQ(digest_tied, digest_block);
+  EXPECT_EQ(fired_tied, fired_block);
+  ASSERT_EQ(trace_tied.size(), static_cast<std::size_t>(2 + 2 * kK));
+  std::uint64_t digest = 0;
+  for (std::size_t i = 0; i < trace_tied.size(); ++i) {
+    EXPECT_EQ(trace_tied[i].seq, i);  // fire indices stay consecutive
+    digest = Engine::digest_step(digest, trace_tied[i]);
+  }
+  EXPECT_EQ(digest, digest_tied);
+  const std::vector<int> want = {-1, 0, 1, 2, 3, 4, -2, 100, 100, 100, 100, 100};
+  EXPECT_EQ(order_tied, want);
+}
+
+TEST(EngineTied, ThrowsOutsideACallbackOrOnASecondCall) {
+  Engine e;
+  EXPECT_THROW(e.schedule_tied(0, [] {}), std::logic_error);
+  bool second_threw = false;
+  int fired = 0;
+  e.schedule_at(10, [&] {
+    e.schedule_tied(10, [&] { ++fired; });
+    try {
+      e.schedule_tied(10, [&] { ++fired; });
+    } catch (const std::logic_error&) {
+      second_threw = true;
+    }
+  });
+  e.run();
+  EXPECT_TRUE(second_threw);
+  EXPECT_EQ(fired, 1);
+  EXPECT_THROW(e.schedule_tied(20, [] {}), std::logic_error);  // after run()
+  EXPECT_EQ(e.pending_regular(), 0u);
 }
 
 }  // namespace

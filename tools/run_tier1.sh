@@ -61,8 +61,9 @@
 # backoff and breakers must stay bit-deterministic with instrumentation.
 #
 # `dag` is the task-graph gate: the task-graph unit tests (rt + analysis
-# release-edge races + sched narrowed-carve matrix) and
-# `bench/selfcheck --dag` (2-run digest + metrics parity and race-audit
+# release-edge races + sched narrowed-carve matrix), the sched_equivalence
+# digest gate (its task-graph rows pin lu-dag/treered/dphim under
+# baseline, ilan and dist=dep-aware) and `bench/selfcheck --dag` (2-run digest + metrics parity and race-audit
 # cleanliness for every DAG kernel under the standard schedulers plus
 # dist=dep-aware, and jobs=1-vs-4 run_many parity over the DAG path). Runs
 # on the primary build and then under ASan and TSan.
@@ -76,7 +77,9 @@
 #
 # `solver` is the incremental-solver gate: the FlowNetwork unit tests
 # (including the randomized bitwise equivalence test against the textbook
-# water-filling loop kept in the test as an oracle), the bench/solver_gate
+# water-filling loop kept in the test as an oracle), the engine and
+# MemorySystem unit tests (the single completion event and the engine's
+# schedule_tied ordering it relies on), the bench/solver_gate
 # regression gate (cache hit-rate floor, counter invariant, median-of-runs
 # events/s floor — the timing floor disables itself in sanitized builds),
 # and a solver_gate rerun with ILAN_SOLVER_CHECK=1 so every resolve of the
@@ -187,11 +190,14 @@ run_dag_one() {
   esac
   cmake -B "$build_dir" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     ${san:+-DILAN_SANITIZE="$san"}
-  cmake --build "$build_dir" -j "$jobs" --target selfcheck test_rt test_analysis test_sched
+  cmake --build "$build_dir" -j "$jobs" --target selfcheck test_rt test_analysis test_sched \
+    test_sched_equivalence
   echo "== task-graph unit tests (${san:-plain}) =="
   "./$build_dir/tests/test_rt" --gtest_filter='TaskGraph.*:Team.*'
   "./$build_dir/tests/test_analysis" --gtest_filter='RaceAuditorGraph.*'
   "./$build_dir/tests/test_sched" --gtest_filter='SchedDist.*:SchedRegistry.DepAware*'
+  echo "== sched_equivalence digest gate incl. task-graph rows (${san:-plain}) =="
+  "./$build_dir/tests/test_sched_equivalence"
   echo "== selfcheck --dag (${san:-plain}) =="
   ILAN_BENCH_JSON=0 "./$build_dir/bench/selfcheck" --dag
 }
@@ -225,9 +231,13 @@ run_solver_one() {
   esac
   cmake -B "$build_dir" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     ${san:+-DILAN_SANITIZE="$san"}
-  cmake --build "$build_dir" -j "$jobs" --target test_mem_flow solver_gate
+  cmake --build "$build_dir" -j "$jobs" --target test_mem_flow test_sim test_mem_system \
+    solver_gate
   echo "== FlowNetwork tests incl. bitwise oracle equivalence (${san:-plain}) =="
   "./$build_dir/tests/test_mem_flow"
+  echo "== engine + MemorySystem tests (${san:-plain}) =="
+  "./$build_dir/tests/test_sim"
+  "./$build_dir/tests/test_mem_system"
   echo "== solver_gate (${san:-plain}) =="
   ILAN_BENCH_JSON=0 "./$build_dir/bench/solver_gate"
   echo "== solver_gate with ILAN_SOLVER_CHECK=1 (${san:-plain}) =="
